@@ -374,8 +374,9 @@ class JoinRequester:
 
     # ------------------------------------------------------------------
     def _on_tick(self, t: float) -> None:
-        if self.state in (JoinOutcome.JOINED, JoinOutcome.GAVE_UP):
-            return
+        # the hook unregisters on entering JOINED or GAVE_UP; a REJECTED
+        # requester stays registered, as only the membership check below
+        # can still move it on
         if self.sid in self.net._pos:
             # we are a ring member — even if both the ACK and the
             # update-phase broadcast were lost to collisions or fading,
@@ -387,6 +388,7 @@ class JoinRequester:
             self._tx_frame = None
             self.state = JoinOutcome.JOINED
             self.t_joined = t
+            self.net.remove_tick_hook(self._on_tick)
             self.joined.succeed(t)
             return
         if self._tx_at is not None and t >= self._tx_at:
@@ -402,6 +404,7 @@ class JoinRequester:
             if (self.max_attempts is not None
                     and self.attempts >= self.max_attempts):
                 self.state = JoinOutcome.GAVE_UP
+                self.net.remove_tick_hook(self._on_tick)
                 return
             if self.adaptive:
                 # exponential backoff on timeout: double the skip window

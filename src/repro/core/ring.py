@@ -33,13 +33,16 @@ fuzz oracles and the delay/deadline accounting in
 :class:`repro.analysis.netmetrics.NetworkMetrics` are all subscribers.
 Emit sites hold per-event emitter callables (rebound by the bus whenever
 subscriptions change), so an unobserved event costs one no-op call and an
-unobserved *computation* (e.g. the slot-occupancy count) is skipped via
-the emitter's falsiness.
+unobserved *computation* is skipped via the emitter's falsiness.
+
+The dataplane's cost follows the occupied stations: the decision layer
+settles a station without own traffic in one test (transit or idle) and
+lists the occupied positions, and the effects layer walks only that list.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.bounds import sat_rotation_bound
 from repro.analysis.netmetrics import NetworkMetrics
@@ -156,7 +159,9 @@ class WRTRingNetwork:
         #: alternative tick callback (installed by the batched kernel before
         #: :meth:`start`); ``None`` runs the reference scalar :meth:`_tick`
         self.tick_driver: Optional[Callable[[], None]] = None
-        self._tick_hooks: List[Callable[[float], None]] = []
+        #: rebuilt (never mutated) on add/remove, so a hook that removes
+        #: itself mid-tick cannot make the running loop skip the next one
+        self._tick_hooks: Tuple[Callable[[float], None], ...] = ()
         # the ring defines the slot grid: snap schedule times that drifted
         # off it by float accumulation (see Engine.snap_to_grid)
         engine.slot_quantum = 1.0
@@ -289,7 +294,15 @@ class WRTRingNetwork:
 
     def add_tick_hook(self, hook: Callable[[float], None]) -> None:
         """Register ``hook(t)`` to run at the start of every tick."""
-        self._tick_hooks.append(hook)
+        self._tick_hooks += (hook,)
+
+    def remove_tick_hook(self, hook: Callable[[float], None]) -> None:
+        """Unregister a hook added with :meth:`add_tick_hook`.  A hook may
+        remove itself while it runs; the rest of that tick's hooks still
+        run."""
+        hooks = list(self._tick_hooks)
+        hooks.remove(hook)
+        self._tick_hooks = tuple(hooks)
 
     def register_frame_handler(self, station_or_code: int,
                                handler: Callable[[Frame, float], None]) -> None:
@@ -400,9 +413,10 @@ class WRTRingNetwork:
                 1 for q in (st.rt_queue, st.as_queue, st.be_queue)
                 for p in q if p.dst != succ)
         self.columns.bind_ring()
-        # per-slot scratch, reused every tick (decision codes + in-flight
-        # slot contents) instead of being reallocated
+        # per-slot scratch, reused every tick (decision codes, occupied
+        # positions + in-flight slot contents) instead of being reallocated
         self._slot_picks: List[int] = [0] * n
+        self._slot_occupied: List[int] = []
         self._slot_outputs: List[Optional[Packet]] = [None] * n
 
     def insert_station(self, new_sid: int, after: int, quota: QuotaConfig,
@@ -522,41 +536,60 @@ class WRTRingNetwork:
         """Decision layer: what occupies each ring position this slot —
         transit forwarding, one of the station's own classes, or nothing.
         Pure: no queue pops, no quota spend, no emits; writes decision
-        codes into the preallocated ``_slot_picks`` buffer."""
+        codes into the preallocated ``_slot_picks`` buffer and lists the
+        occupied positions, in ascending order, in ``_slot_occupied``."""
         picks = self._slot_picks
+        occupied = self._slot_occupied
+        occupied.clear()
+        busy = occupied.append
+        idle = self._PICK_IDLE
+        transit = self._PICK_TRANSIT
         transit_first = self.config.transit_priority
         for idx, st in enumerate(members):
-            if not st._alive:
-                picks[idx] = self._PICK_IDLE
+            if not (st.rt_queue or st.as_queue or st.be_queue):
+                # no own traffic, so the send algorithm picks no class:
+                # only transit can fill the slot, whatever the transit
+                # priority or leave state (most stations, most slots)
+                if st.transit and st._alive:
+                    picks[idx] = transit
+                    busy(idx)
+                else:
+                    picks[idx] = idle
+            elif not st._alive:
+                picks[idx] = idle
             elif transit_first and st.transit:
-                picks[idx] = self._PICK_TRANSIT
+                picks[idx] = transit
+                busy(idx)
             elif not st._leaving:
                 service = st._decide_class()
                 if service is not None:
                     picks[idx] = service
+                    busy(idx)
                 elif st.transit:
-                    picks[idx] = self._PICK_TRANSIT
+                    picks[idx] = transit
+                    busy(idx)
                 else:
-                    picks[idx] = self._PICK_IDLE
+                    picks[idx] = idle
             elif st.transit:
-                picks[idx] = self._PICK_TRANSIT
+                picks[idx] = transit
+                busy(idx)
             else:
-                picks[idx] = self._PICK_IDLE
+                picks[idx] = idle
 
     def _apply_slot(self, t: float, members: List[WRTRingStation]) -> None:
         """Effects layer: spend the decided authorizations (phase A) and
         advance every occupied slot one hop simultaneously (phase B),
-        emitting in exactly the legacy order."""
+        emitting in exactly the legacy order.  Both phases walk only the
+        occupied positions :meth:`_decide_slot` listed."""
         picks = self._slot_picks
+        occupied = self._slot_occupied
         outputs = self._slot_outputs
         n = len(members)
 
         # phase A: pop the decided transmissions
-        for idx in range(n):
+        for idx in occupied:
             code = picks[idx]
-            if code < 0:
-                outputs[idx] = None
-            elif code == self._PICK_TRANSIT:
+            if code == self._PICK_TRANSIT:
                 outputs[idx] = members[idx].transit.popleft()
             else:
                 st = members[idx]
@@ -570,10 +603,8 @@ class WRTRingNetwork:
         imp = self.impairments
 
         # phase B: simultaneous one-hop advance
-        for idx in range(n):
+        for idx in occupied:
             pkt = outputs[idx]
-            if pkt is None:
-                continue
             outputs[idx] = None   # the scratch buffer must not pin packets
             src_sid = members[idx].sid
             receiver = members[(idx + 1) % n]
@@ -618,11 +649,9 @@ class WRTRingNetwork:
                 receiver.transit.append(pkt)
 
         # slot-occupancy sampling for the timeline exporter: subscribed only
-        # while the opt-in trace category is enabled, so steady-state runs
-        # skip the O(n) busy count via the emitter's falsiness
+        # while the opt-in trace category is enabled
         if self._ev_occupancy:
-            busy = sum(1 for c in picks if c >= 0)
-            self._ev_occupancy(t, busy, n)
+            self._ev_occupancy(t, len(occupied), n)
 
     def add_delivery_callback(self, sid: int,
                               callback: Callable[[Packet, float], None]) -> None:

@@ -77,14 +77,21 @@ class EventBus:
         self._notify()
 
         def unsubscribe() -> None:
-            subs = self._subs.get(etype)
-            if subs and callback in subs:
-                subs.remove(callback)
-                if not subs:
-                    del self._subs[etype]
-                self._notify()
+            self.unsubscribe(etype, callback)
 
         return unsubscribe
+
+    def unsubscribe(self, etype: Type[ProtocolEvent],
+                    callback: Callable[[ProtocolEvent], None]) -> None:
+        """Remove *callback* from *etype*'s subscribers (no-op if absent) —
+        for holders that keep the callback rather than the unsubscriber
+        :meth:`subscribe` returned."""
+        subs = self._subs.get(etype)
+        if subs and callback in subs:
+            subs.remove(callback)
+            if not subs:
+                del self._subs[etype]
+            self._notify()
 
     def subscriber_count(self, etype: Type[ProtocolEvent]) -> int:
         return len(self._subs.get(etype, ()))

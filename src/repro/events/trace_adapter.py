@@ -21,13 +21,15 @@ legacy code traced selectively:
   ``RingTick``/``RecoveryEpisode``/``EngineRunWindow`` were never traced
   at all (they feed metrics/oracles/profiling only).
 
-The two opt-in categories (``TraceRecorder.OPT_IN``) are subscribed only
-while enabled (see :meth:`TraceAdapter.refresh`): ``sat.arrive`` fires
-every SAT hop, so paying event construction just for the recorder to drop
-the record would tax steady-state runs; ``slot.occupancy`` additionally
-guards an O(n) busy count — the legacy emit site hid it behind
-``trace.is_enabled``, and the event site skips it entirely when its
-emitter is the falsy null.
+Every 1:1 category — the ``_DIRECT`` ones and the two opt-in categories
+(``TraceRecorder.OPT_IN``) — is subscribed only while the recorder has it
+enabled (see :meth:`TraceAdapter.refresh`): ``sat.release`` and
+``sat.rotation`` fire every SAT hop and ``sat.arrive`` every visit, so
+paying event construction just for the recorder to drop the record would
+tax trace-off runs, and a category nothing else subscribes to leaves its
+emitter the falsy null.  The recorder's switches are read at
+:meth:`~TraceAdapter.attach` and again on every ``refresh``; call
+``refresh`` after enabling or disabling categories on a live network.
 """
 
 from __future__ import annotations
@@ -56,12 +58,9 @@ _DIRECT = (
     T.GatewayBuffer,
 )
 
-#: opt-in trace category -> event type (``TraceRecorder.OPT_IN``):
-#: subscribed only while the category is enabled on the recorder
-_OPT_IN = {
-    "sat.arrive": T.SatArrive,
-    "slot.occupancy": T.SlotOccupancy,
-}
+#: events of the opt-in trace categories (``TraceRecorder.OPT_IN``):
+#: rendered like ``_DIRECT``, but disabled on a recorder by default
+_OPT_IN = (T.SatArrive, T.SlotOccupancy)
 
 #: events the legacy code never traced
 _UNTRACED = (
@@ -90,17 +89,19 @@ class TraceAdapter:
 
     def __init__(self, trace) -> None:
         self.trace = trace
-        self._opt_in_unsubs = {}
+        #: event type -> subscribed handler, for each enabled 1:1 category
+        self._handlers = {}
 
     def attach(self, bus) -> "TraceAdapter":
-        for etype in _DIRECT:
-            bus.subscribe(etype, self._direct_handler(etype, self.trace))
+        # the legacy subscription order — direct categories, selective
+        # renderings, opt-in categories — fixes each event's fan-out order
+        self._follow(bus, _DIRECT)
         bus.subscribe(T.PacketLost, self._on_packet_lost)
         bus.subscribe(T.PacketOrphaned, self._on_packet_orphaned)
         bus.subscribe(T.RapClose, self._on_rap_close)
         bus.subscribe(T.GatewayForward, self._on_gw_forward)
         bus.subscribe(T.GatewayDrop, self._on_gw_drop)
-        self.refresh(bus)
+        self._follow(bus, _OPT_IN)
         return self
 
     @staticmethod
@@ -150,18 +151,25 @@ class TraceAdapter:
                           src=pkt.src, dst=pkt.dst,
                           service=pkt.service.short)
 
-    # -- opt-in category toggling --------------------------------------
+    # -- category toggling ---------------------------------------------
     def refresh(self, bus) -> None:
-        """Align the opt-in subscriptions with the recorder's enable
-        switches; call after ``trace.enable``/``disable`` so the emit
-        sites pay nothing (null emitter; ``slot.occupancy``'s busy count
-        stays skipped) while a category is off."""
-        for category, etype in _OPT_IN.items():
-            enabled = self.trace.is_enabled(category)
-            unsub = self._opt_in_unsubs.get(category)
-            if enabled and unsub is None:
-                self._opt_in_unsubs[category] = bus.subscribe(
-                    etype, self._direct_handler(etype, self.trace))
-            elif not enabled and unsub is not None:
-                unsub()
-                self._opt_in_unsubs[category] = None
+        """Align the 1:1 subscriptions with the recorder's enable
+        switches; call after ``trace.enable``/``disable``/``enable_only``
+        so an enabled category records and a disabled one costs its emit
+        sites nothing.  A category enabled after :meth:`attach` subscribes
+        behind the bus's existing subscribers."""
+        self._follow(bus, _DIRECT + _OPT_IN)
+
+    def _follow(self, bus, etypes) -> None:
+        """Subscribe each of *etypes* whose category is enabled, and drop
+        the subscription of each one that is disabled."""
+        enabled = self.trace.is_enabled
+        handlers = self._handlers
+        for etype in etypes:
+            if enabled(etype.category):
+                if etype not in handlers:
+                    handler = handlers[etype] = self._direct_handler(
+                        etype, self.trace)
+                    bus.subscribe(etype, handler)
+            elif etype in handlers:
+                bus.unsubscribe(etype, handlers.pop(etype))

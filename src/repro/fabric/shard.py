@@ -67,7 +67,10 @@ class RingShard:
         self.engine = self.result.engine
         self.trace = self.result.trace
         if not trace:
+            # record nothing, and let the trace adapter drop its
+            # subscriptions so no emit site renders a record to discard
             self.trace.enable_only(())
+            self.net._trace_adapter.refresh(self.net.events)
         #: neighbour ring -> gateway link
         self.links = dict(topo.ring_neighbours()[ring])
         #: neighbour ring -> [(frame, t_buffered), ...]
@@ -101,8 +104,10 @@ class RingShard:
                 first = flow.period
             else:
                 first = stream.expovariate(flow.rate)
-            self._sources.append({"idx": idx, "flow": flow,
-                                  "stream": stream, "next": first, "seq": 0})
+            self._sources.append({
+                "idx": idx, "flow": flow,
+                "route": topo.route(flow.src_ring, flow.dst_ring),
+                "stream": stream, "next": first, "seq": 0})
         if self._sources:
             self.net.add_tick_hook(self._on_tick)
 
@@ -146,7 +151,7 @@ class RingShard:
             dst_ring=flow.dst_ring, dst_station=flow.dst_station,
             service=flow.service, created=t,
             deadline=(t + flow.deadline) if flow.deadline is not None else None,
-            route=self.topo.route(flow.src_ring, flow.dst_ring))
+            route=src["route"])
         src["seq"] += 1
         self.frames_created += 1
         self._forward_local(frame, t, flow.src_station)

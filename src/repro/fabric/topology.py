@@ -206,26 +206,7 @@ class Topology:
 
     def route(self, src_ring: int, dst_ring: int) -> Tuple[int, ...]:
         """Deterministic shortest ring path (BFS, sorted neighbour order)."""
-        if src_ring == dst_ring:
-            return (src_ring,)
-        adj = self.ring_neighbours()
-        parent: Dict[int, int] = {src_ring: src_ring}
-        frontier = [src_ring]
-        while frontier and dst_ring not in parent:
-            nxt: List[int] = []
-            for ring in frontier:
-                for neighbour, _link in adj[ring]:
-                    if neighbour not in parent:
-                        parent[neighbour] = ring
-                        nxt.append(neighbour)
-            frontier = nxt
-        if dst_ring not in parent:
-            raise ValueError(f"no gateway path from ring {src_ring} to "
-                             f"ring {dst_ring}")
-        path = [dst_ring]
-        while path[-1] != src_ring:
-            path.append(parent[path[-1]])
-        return tuple(reversed(path))
+        return _route(self.ring_neighbours(), src_ring, dst_ring)
 
     def link_between(self, ring_a: int, ring_b: int) -> GatewayLink:
         for link in self.resolved_links():
@@ -238,7 +219,8 @@ class Topology:
         if self.flows is not None:
             return list(self.flows)
         rng = RandomStreams(self.seed).stream("fabric.flows")
-        hops = {(a, b): len(self.route(a, b)) - 1
+        adj = self.ring_neighbours()
+        hops = {(a, b): len(_route(adj, a, b)) - 1
                 for a in range(self.rings) for b in range(self.rings) if a != b}
         out: List[CrossFlow] = []
         for _ in range(self.cross_flows):
@@ -264,6 +246,30 @@ class Topology:
         return replace(self.base, n=self.ring_size,
                        horizon=self.horizon,
                        seed=RandomStreams(self.seed).derive(f"ring:{ring}"))
+
+
+def _route(adj: Dict[int, List[Tuple[int, GatewayLink]]], src_ring: int,
+           dst_ring: int) -> Tuple[int, ...]:
+    """:meth:`Topology.route` over an adjacency built once by the caller."""
+    if src_ring == dst_ring:
+        return (src_ring,)
+    parent: Dict[int, int] = {src_ring: src_ring}
+    frontier = [src_ring]
+    while frontier and dst_ring not in parent:
+        nxt: List[int] = []
+        for ring in frontier:
+            for neighbour, _link in adj[ring]:
+                if neighbour not in parent:
+                    parent[neighbour] = ring
+                    nxt.append(neighbour)
+        frontier = nxt
+    if dst_ring not in parent:
+        raise ValueError(f"no gateway path from ring {src_ring} to "
+                         f"ring {dst_ring}")
+    path = [dst_ring]
+    while path[-1] != src_ring:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ Equivalence is structural, not aspirational:
   hop time — the emitted event stream is byte-identical by construction.
 * Only when no SAT emitter is live (trace-off fabric shards, perf harnesses)
   does the jump collapse into the closed-form column update from
-  :mod:`repro.kernel.columns` — the big win the ``batched_tick_rate``
+  :mod:`repro.core.columns` — the big win the ``batched_tick_rate``
   benchmark measures.
 * The mirror-image regime — every member backlogged with successor-addressed
   traffic, nothing else armed — is handled the same way by the *saturated*
@@ -39,11 +39,11 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+from repro.core.columns import hop_plan
 from repro.core.diffserv import COLUMN_CLASSES
 from repro.core.sat import SAT
 from repro.events.types import (PacketEnqueued, PacketLost, PacketOrphaned,
                                 SlotDeliver, SlotTransmit)
-from repro.kernel.columns import hop_plan
 
 __all__ = ["BatchedKernel", "install_batched_kernel"]
 
@@ -67,9 +67,6 @@ class BatchedKernel:
             raise RuntimeError("a tick driver is already installed")
         self.net = net
         self.engine = net.engine
-        #: the ring-owned struct-of-arrays state (kept as an attribute for
-        #: the historical ``kernel.columns`` access path)
-        self.columns = net.columns
         #: packets accepted into any MAC queue and not yet delivered/lost —
         #: maintained from the event spine, so it is exact whenever every
         #: packet exit emits (the invariant the spine already guarantees);
@@ -259,7 +256,7 @@ class BatchedKernel:
     def _bulk_hops(self, a0: float, h: float, K: int) -> None:
         """Closed-form path (no SAT subscribers): apply the net effect of
         ``K`` hand-offs with the columnar visit plan from
-        :func:`~repro.kernel.columns.hop_plan`."""
+        :func:`~repro.core.columns.hop_plan`."""
         net = self.net
         eng = self.engine
         sat = net.sat
@@ -404,7 +401,7 @@ class BatchedKernel:
         :meth:`_bulk_hops`."""
         eng = self.engine
         net = self.net
-        cols = self.columns
+        cols = net.columns
         ti = int(t)
         T = int(math.floor(until)) - ti
         horizon_event = eng.peek()

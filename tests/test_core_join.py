@@ -122,6 +122,55 @@ class TestSuccessfulJoin:
         assert net.rotation_log.worst() < net.sat_time_bound()
 
 
+class TestRequesterTickHook:
+    """A requester polls every slot until it reaches a final state, then
+    unregisters its tick hook."""
+
+    def test_hook_count_returns_to_pre_join_value_after_join(self):
+        base = ring_placement(6, radius=RADIUS)
+        engine, net, graph, pos = ring_scenario(extra={100: between(base, 2, 3)})
+        hooks = len(net._tick_hooks)
+        req = JoinRequester(net, 100, QuotaConfig.two_class(1, 1),
+                            rng=random.Random(0))
+        assert len(net._tick_hooks) == hooks + 1
+        net.start()
+        engine.run(until=4000)
+        assert req.state is JoinOutcome.JOINED
+        assert len(net._tick_hooks) == hooks
+
+    def test_gave_up_requester_unregisters(self):
+        from repro.core.join import JoinRequest
+
+        base = ring_placement(6, radius=RADIUS)
+        engine, net, graph, pos = ring_scenario(extra={100: between(base, 2, 3)})
+        hooks = len(net._tick_hooks)
+        req = JoinRequester(net, 100, QuotaConfig.two_class(1, 1),
+                            max_attempts=2)
+        # the ingress never hears a JOIN_REQ, so every attempt times out
+        transmit = net.channel.transmit
+        net.channel.transmit = lambda frame: (
+            None if isinstance(frame.payload, JoinRequest)
+            else transmit(frame))
+        net.start()
+        engine.run(until=6000)
+        assert req.state is JoinOutcome.GAVE_UP
+        assert len(net._tick_hooks) == hooks
+
+    def test_rejected_requester_keeps_polling(self):
+        base = ring_placement(6, radius=RADIUS)
+        engine, net, graph, pos = ring_scenario(extra={100: between(base, 2, 3)})
+        from repro.analysis import access_delay_bound
+        net.join_manager.admission.register_requirement(
+            0, deadline=access_delay_bound(0, 2, 6, 9, [(2, 1)] * 6))
+        hooks = len(net._tick_hooks)
+        req = JoinRequester(net, 100, QuotaConfig.two_class(1, 1),
+                            rng=random.Random(8))
+        net.start()
+        engine.run(until=4000)
+        assert req.state is JoinOutcome.REJECTED
+        assert len(net._tick_hooks) == hooks + 1
+
+
 class TestRejectedJoin:
     def test_out_of_range_requester_never_joins(self):
         engine, net, graph, pos = ring_scenario(extra={100: (500.0, 500.0)})

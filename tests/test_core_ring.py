@@ -1,10 +1,13 @@
 """Integration tests for the WRT-Ring dataplane and SAT circulation."""
 
+import random
+
 import pytest
 
 from repro.core import (Packet, QuotaConfig, ServiceClass, WRTRingConfig,
                         WRTRingNetwork)
-from repro.sim import Engine
+from repro.events import types as ev
+from repro.sim import Engine, TraceRecorder
 
 
 def make_net(n=5, l=2, k=2, **cfg_kwargs):
@@ -293,3 +296,154 @@ class TestStop:
         rounds = net.sat.rounds
         engine.run(until=50)
         assert net.sat.rounds == rounds
+
+
+def reference_picks(net, members):
+    """The decision rule as a plain loop over every station, without the
+    no-own-traffic shortcut — the reference ``_decide_slot`` must match."""
+    picks = [None] * len(members)
+    transit_first = net.config.transit_priority
+    for idx, st in enumerate(members):
+        if not st._alive:
+            picks[idx] = net._PICK_IDLE
+        elif transit_first and st.transit:
+            picks[idx] = net._PICK_TRANSIT
+        elif not st._leaving:
+            service = st._decide_class()
+            if service is not None:
+                picks[idx] = service
+            elif st.transit:
+                picks[idx] = net._PICK_TRANSIT
+            else:
+                picks[idx] = net._PICK_IDLE
+        elif st.transit:
+            picks[idx] = net._PICK_TRANSIT
+        else:
+            picks[idx] = net._PICK_IDLE
+    return picks
+
+
+class TestSparseDecide:
+    """``_decide_slot`` settles stations without own traffic in one test
+    and lists the occupied positions; both must match the full rule."""
+
+    SERVICES = (ServiceClass.PREMIUM, ServiceClass.ASSURED,
+                ServiceClass.BEST_EFFORT)
+
+    def random_ring(self, rng, n=8):
+        quotas = {}
+        for sid in range(n):
+            l, k1, k2 = (rng.randint(0, 3), rng.randint(0, 2),
+                         rng.randint(0, 2))
+            quotas[sid] = QuotaConfig(l=l, k1=k1, k2=k2 or int(l + k1 == 0))
+        cfg = WRTRingConfig(quotas=quotas, rap_enabled=False,
+                            transit_priority=rng.random() < 0.5)
+        net = WRTRingNetwork(Engine(), list(range(n)), cfg)
+        for st in net._members:
+            q = st.quota
+            st.alive = rng.random() > 0.15
+            st.leaving = rng.random() < 0.2
+            own = rng.random() < 0.5
+            for queue, service in zip(
+                    (st.rt_queue, st.as_queue, st.be_queue), self.SERVICES):
+                for _ in range(rng.randint(0, 2) if own else 0):
+                    queue.append(pkt(st.sid, (st.sid + 2) % n, service))
+            for _ in range(rng.randint(0, 2) if rng.random() < 0.4 else 0):
+                st.transit.append(pkt((st.sid + n - 1) % n, (st.sid + 1) % n))
+            # round counters at or just below each cap
+            st.rt_pck = max(0, q.l - rng.randint(0, 1))
+            st.as_pck = max(0, q.k1 - rng.randint(0, 1))
+            st.be_pck = max(0, q.k2 - rng.randint(0, 1))
+            st.nrt_pck = max(0, q.k - rng.randint(0, 1))
+        return net
+
+    def test_matches_full_rule_on_random_states(self):
+        rng = random.Random(20261016)
+        seen = set()
+        for _ in range(400):
+            net = self.random_ring(rng)
+            members = net._members
+            depths = [st.queue_depths() for st in members]
+            expected = reference_picks(net, members)
+            net._decide_slot(members)
+            assert net._slot_picks == expected
+            assert net._slot_occupied == [i for i, c in enumerate(expected)
+                                          if c >= 0]
+            # pure: nothing was popped
+            assert [st.queue_depths() for st in members] == depths
+            seen.update(expected)
+        assert seen == {net._PICK_IDLE, net._PICK_TRANSIT, *self.SERVICES}
+
+    def test_occupied_list_is_reused(self):
+        _, net = make_net(4)
+        occupied = net._slot_occupied
+        net.stations[1].transit.append(pkt(0, 2))
+        net._decide_slot(net._members)
+        net._decide_slot(net._members)
+        assert net._slot_occupied is occupied and occupied == [1]
+
+
+class TestSlotOccupancy:
+    def test_busy_counts_match_packets_moved(self):
+        """With ``slot.occupancy`` on, each record's busy count equals the
+        hops every packet took in that slot (a clean ring loses none)."""
+        n = 6
+        trace = TraceRecorder()
+        trace.enable("slot.occupancy")
+        engine = Engine()
+        cfg = WRTRingConfig.homogeneous(range(n), l=2, k=2,
+                                        rap_enabled=False)
+        net = WRTRingNetwork(engine, list(range(n)), cfg, trace=trace)
+        packets = []
+        hops_before = {}
+        net.events.subscribe(ev.PacketEnqueued,
+                             lambda e: packets.append(e.packet))
+        net.events.subscribe(ev.RingTick, lambda e: hops_before.__setitem__(
+            e.t, sum(p.hops for p in packets)))
+        rng = random.Random(4)
+
+        def inject(t):
+            for _ in range(rng.choice((0, 0, 1, 3))):
+                src = rng.randrange(n)
+                net.enqueue(pkt(src, (src + rng.randint(1, n - 1)) % n,
+                                rng.choice(TestSparseDecide.SERVICES),
+                                created=t))
+        net.add_tick_hook(inject)
+        net.start()
+        engine.run(until=400)
+        records = trace.select("slot.occupancy")
+        assert len(records) == 401          # slots 0..400
+        checked = [r for r in records if r.time + 1 in hops_before]
+        for rec in checked:
+            moved = hops_before[rec.time + 1] - hops_before[rec.time]
+            assert rec["busy"] == moved, rec
+            assert rec["capacity"] == n
+        assert max(r["busy"] for r in checked) >= 3
+
+
+class TestTickHooks:
+    def test_remove_tick_hook(self):
+        engine, net = make_net(3)
+        calls = []
+        hook = calls.append
+        net.add_tick_hook(hook)
+        net.start()
+        engine.run(until=2)
+        net.remove_tick_hook(hook)
+        engine.run(until=10)
+        assert calls == [0.0, 1.0, 2.0]
+        assert net._tick_hooks == ()
+
+    def test_self_removing_hook_does_not_skip_the_next(self):
+        engine, net = make_net(3)
+        calls = []
+
+        def once(t):
+            calls.append(("once", t))
+            net.remove_tick_hook(once)
+
+        net.add_tick_hook(once)
+        net.add_tick_hook(lambda t: calls.append(("next", t)))
+        net.start()
+        engine.run(until=1)
+        assert calls == [("once", 0.0), ("next", 0.0), ("next", 1.0)]

@@ -149,6 +149,35 @@ class TestTraceAdapter:
         emit(4.0, 3, 8)
         assert trace.count("slot.occupancy") == 1
 
+    def test_direct_category_enabled_after_attach_needs_refresh(self):
+        trace = TraceRecorder()
+        trace.enable_only(["sat.rotation"])
+        bus = EventBus()
+        adapter = TraceAdapter(trace).attach(bus)
+        assert bus.emitter(ev.SatRelease) is NULL_EMITTER
+        trace.enable("sat.release")
+        bus.emitter(ev.SatRelease)(1.0, 0, 1)
+        assert trace.count("sat.release") == 0     # not subscribed yet
+        adapter.refresh(bus)
+        bus.emitter(ev.SatRelease)(2.0, 0, 1)
+        assert [e.time for e in trace.select("sat.release")] == [2.0]
+        trace.disable("sat.release", "sat.rotation")
+        adapter.refresh(bus)
+        assert bus.emitter(ev.SatRelease) is NULL_EMITTER
+        assert bus.emitter(ev.SatRotation) is NULL_EMITTER
+
+    def test_attach_keeps_the_legacy_fanout_order(self):
+        """Direct renderings subscribe before later subscribers of the same
+        event, so a consumer reacting to an event records after it."""
+        trace = TraceRecorder()
+        bus = EventBus()
+        TraceAdapter(trace).attach(bus)
+        bus.subscribe(ev.StationKilled,
+                      lambda e: trace.record(e.t, "probe.after_kill"))
+        bus.emitter(ev.StationKilled)(3.0, 2)
+        assert [e.category for e in trace.events] == ["ring.kill",
+                                                       "probe.after_kill"]
+
     def test_untraced_events_write_nothing(self):
         trace, bus = self.attached()
         bus.emitter(ev.RingTick)(1.0)

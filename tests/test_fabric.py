@@ -309,6 +309,33 @@ class TestObsRollup:
 
 
 # ----------------------------------------------------------------------
+class TestTraceOffShards:
+    """A trace-off ring subscribes no trace handler, so its SAT emitters
+    are the falsy null and nothing renders a record to discard."""
+
+    #: ``small_topology()`` merged trace hash, serial, trace on
+    TRACE_HASH = \
+        "11ac43474f75ee9282c48ced1f685492720ad85061300cbf32a67fa10064a700"
+
+    def test_trace_off_shard_hands_out_null_sat_emitters(self):
+        shard = RingShard(small_topology(), 1, trace=False)
+        assert not shard.net._ev_sat_release
+        assert not shard.net._ev_sat_rotation
+        assert not shard._ev_buffer
+        traced = RingShard(small_topology(), 1, trace=True)
+        assert traced.net._ev_sat_release and traced.net._ev_sat_rotation
+
+    @pytest.mark.parametrize("kernel", ["scalar", "batched"])
+    def test_trace_on_hash_kept_and_trace_off_outcome_identical(self, kernel):
+        topo = small_topology()
+        traced = run_fabric(topo, "serial", kernel=kernel).summary()
+        plain = run_fabric(topo, "serial", kernel=kernel,
+                           trace=False).summary()
+        assert traced["trace_hash"] == self.TRACE_HASH
+        assert dict(plain, trace_hash=None) == dict(traced, trace_hash=None)
+
+
+# ----------------------------------------------------------------------
 class TestFabricSweep:
     def test_topology_axes(self):
         from repro.campaign import CampaignRunner, Sweep

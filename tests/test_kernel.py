@@ -11,8 +11,8 @@ import math
 import pytest
 
 from repro.core import (Packet, ServiceClass, WRTRingConfig, WRTRingNetwork)
-from repro.kernel import (BatchedKernel, ColumnState, hop_plan,
-                          install_batched_kernel)
+from repro.core.columns import ColumnState, hop_plan
+from repro.kernel import BatchedKernel, install_batched_kernel
 from repro.sim import Engine
 
 
