@@ -10,11 +10,26 @@ deterministic, reproducible runs — a hard requirement for validating the
 paper's worst-case bounds, where a single out-of-order tie can change a
 measured rotation time by a slot.
 
-Cancellation is O(1) (heap entries are tombstoned), but tombstones no longer
-linger: the engine counts them and lazily compacts the heap when they
-outnumber the live events, so :meth:`Engine.pending_count` is O(1) and
+Agenda entries are ``(time, priority, seq, handle)`` tuples.  ``seq`` is
+unique, so every heap comparison is decided before it reaches the handle and
+runs in C.  An entry is *fresh* when its ``seq`` is the handle's live
+``seq``; *stale* when :meth:`Engine.reschedule_at` moved the handle to a
+later deadline and left the entry where it was; *dead* once the handle is
+cancelled or the entry was superseded by an earlier deadline.  A stale key
+is never later than its handle's live key, so when the head entry is fresh it
+is the live event with the least live key — the order cancel-and-push would
+give.  The head helper drops dead entries and re-files stale ones under their
+live key as they surface; neither is an event and neither moves the clock.
+
+Cancellation is O(1) (entries are tombstoned), but tombstones do not linger:
+the engine counts dead entries and lazily compacts the heap when they
+outnumber the live ones, so :meth:`Engine.pending_count` is O(1) and
 :meth:`Engine.peek` reflects live events only — both are load-bearing for the
 batched kernel's quiescence test (see :mod:`repro.kernel`).
+
+NaN is not an event time: :meth:`Engine.schedule_at` and
+:meth:`Engine.reschedule_at` raise :class:`SchedulingError` for it and leave
+the agenda as it was.
 """
 
 from __future__ import annotations
@@ -45,10 +60,12 @@ class EventHandle:
     Returned by :meth:`Engine.schedule` / :meth:`Engine.schedule_at`.  Calling
     :meth:`cancel` prevents the callback from running; cancellation is O(1)
     (the heap entry is tombstoned, not removed) and idempotent.
+    ``(time, priority, seq)`` is the live key; :meth:`Engine.reschedule_at`
+    moves it.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled",
-                 "engine")
+    __slots__ = ("time", "priority", "seq", "_filed", "callback", "args",
+                 "cancelled", "engine")
 
     def __init__(self, time: float, priority: int, seq: int,
                  callback: Callable[..., Any], args: tuple,
@@ -56,6 +73,9 @@ class EventHandle:
         self.time = time
         self.priority = priority
         self.seq = seq
+        #: ``seq`` of the agenda entry carrying this handle (differs from
+        #: ``seq`` while that entry is stale)
+        self._filed = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -72,9 +92,6 @@ class EventHandle:
         self.args = ()
         if self.engine is not None:
             self.engine._note_cancelled()
-
-    def __lt__(self, other: "EventHandle") -> bool:  # heapq tie-breaking
-        return (self.time, self.priority, self.seq) < (other.time, other.priority, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -103,7 +120,7 @@ class Engine:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._agenda: list[EventHandle] = []
+        self._agenda: list[tuple[float, int, int, EventHandle]] = []
         self._seq: int = 0
         self._cancelled: int = 0
         self._running: bool = False
@@ -162,18 +179,52 @@ class Engine:
     def schedule_at(self, time: float, callback: Callable[..., Any],
                     *args: Any, priority: int = 0) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
+        time = self._event_time(time)
+        if not callable(callback):
+            raise SchedulingError(f"callback {callback!r} is not callable")
+        self._seq += 1
+        seq = self._seq
+        handle = EventHandle(time, priority, seq, callback, args, self)
+        heapq.heappush(self._agenda, (time, priority, seq, handle))
+        return handle
+
+    def reschedule_at(self, handle: EventHandle, time: float) -> None:
+        """Move the pending ``handle`` to absolute simulated ``time``.
+
+        Same outcome as cancelling it and scheduling its callback afresh at
+        ``time`` with its priority: the handle takes a fresh ``seq`` exactly
+        as :meth:`schedule_at` would, so its live key and the firing order
+        are the ones cancel-and-push gives.  The handle object stays the
+        same.  A deadline not earlier than the current one (every watchdog
+        kick) leaves the agenda entry where it is, to be re-filed when it
+        reaches the head; an earlier one tombstones the entry and pushes a
+        new one.
+        """
+        if handle.cancelled or handle.engine is not self:
+            raise SchedulingError(f"{handle!r} is not pending on this engine")
+        time = self._event_time(time)
+        self._seq += 1
+        earlier = time < handle.time
+        handle.time = time
+        handle.seq = self._seq
+        if earlier:
+            handle._filed = handle.seq
+            heapq.heappush(self._agenda,
+                           (time, handle.priority, handle.seq, handle))
+            self._note_cancelled()
+
+    def _event_time(self, time: float) -> float:
+        """``time`` snapped to the slot grid, or :class:`SchedulingError`
+        when it is NaN or in the past."""
+        if time != time:
+            raise SchedulingError("cannot schedule at NaN")
         quantum = self.slot_quantum
         if quantum is not None:
             time = self.snap_to_grid(time, quantum)
         if time < self.now:
             raise SchedulingError(
                 f"cannot schedule at {time!r}; current time is {self.now!r}")
-        if not callable(callback):
-            raise SchedulingError(f"callback {callback!r} is not callable")
-        self._seq += 1
-        handle = EventHandle(time, priority, self._seq, callback, args, self)
-        heapq.heappush(self._agenda, handle)
-        return handle
+        return time
 
     # ------------------------------------------------------------------
     # agenda hygiene
@@ -185,37 +236,54 @@ class Engine:
         agenda = self._agenda
         if len(agenda) >= _COMPACT_MIN and self._cancelled * 2 > len(agenda):
             # in-place so aliases held by a running run() loop stay valid
-            agenda[:] = [h for h in agenda if not h.cancelled]
+            agenda[:] = [e for e in agenda
+                         if e[2] == e[3]._filed and not e[3].cancelled]
             heapq.heapify(agenda)
             self._cancelled = 0
+
+    def _head(self) -> Optional[tuple]:
+        """The agenda's next live entry, or ``None`` if nothing is pending.
+
+        Dead entries are dropped and stale ones re-filed under their live
+        key on the way; neither is an event and the clock does not move."""
+        agenda = self._agenda
+        while agenda:
+            entry = agenda[0]
+            handle = entry[3]
+            if not handle.cancelled:
+                if entry[2] == handle.seq:
+                    return entry
+                if entry[2] == handle._filed:
+                    handle._filed = handle.seq
+                    heapq.heapreplace(agenda, (handle.time, handle.priority,
+                                               handle.seq, handle))
+                    continue
+            heapq.heappop(agenda)
+            self._cancelled -= 1
+        return None
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if the agenda is empty."""
-        agenda = self._agenda
-        while agenda and agenda[0].cancelled:
-            heapq.heappop(agenda)
-            self._cancelled -= 1
-        return agenda[0].time if agenda else None
+        entry = self._head()
+        return entry[0] if entry is not None else None
 
     def step(self) -> bool:
         """Execute the single next event.  Returns False if nothing is pending."""
-        agenda = self._agenda
-        while agenda:
-            handle = heapq.heappop(agenda)
-            if handle.cancelled:
-                self._cancelled -= 1
-                continue
-            self.now = handle.time
-            self.events_executed += 1
-            # mark consumed so a late cancel() of this handle is a no-op and
-            # cannot corrupt the tombstone count
-            handle.cancelled = True
-            handle.callback(*handle.args)
-            return True
-        return False
+        entry = self._head()
+        if entry is None:
+            return False
+        heapq.heappop(self._agenda)
+        handle = entry[3]
+        self.now = entry[0]
+        self.events_executed += 1
+        # mark consumed so a late cancel() of this handle is a no-op and
+        # cannot corrupt the tombstone count
+        handle.cancelled = True
+        handle.callback(*handle.args)
+        return True
 
     def advance_to(self, time: float) -> None:
         """Move the clock forward to ``time`` without executing anything.
@@ -254,24 +322,24 @@ class Engine:
         self.run_budgeted = max_events is not None
         executed = 0
         agenda = self._agenda
+        head = self._head
         emit_run = self._ev_run
         if emit_run:
             import time as _time
             wall_start = _time.perf_counter()
             sim_start = self.now
         try:
-            while agenda and not self._stopped:
-                handle = agenda[0]
-                if handle.cancelled:
-                    heapq.heappop(agenda)
-                    self._cancelled -= 1
-                    continue
-                if until is not None and handle.time > until:
+            while not self._stopped:
+                entry = head()
+                if entry is None:
+                    break
+                if until is not None and entry[0] > until:
                     break
                 if max_events is not None and executed >= max_events:
                     break
                 heapq.heappop(agenda)
-                self.now = handle.time
+                handle = entry[3]
+                self.now = entry[0]
                 self.events_executed += 1
                 executed += 1
                 handle.cancelled = True   # consumed; late cancel() is a no-op

@@ -5,6 +5,13 @@ The MAC protocols lean heavily on watchdog timers: every station arms a
 the control signal departs.  :class:`Timer` provides exactly that shape —
 arm / restart / stop / expire-callback — on top of the engine's cancellable
 events.
+
+A restart of a running timer moves its pending expiry in place
+(:meth:`~repro.sim.engine.Engine.reschedule_at`) instead of cancelling it and
+scheduling a new one: the firing order is the same, but a watchdog kicked on
+every SAT hand-off keeps one agenda entry instead of leaving a tombstone per
+kick.  Durations and periods must be positive; NaN is rejected like any
+other non-positive value.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ class Timer:
 
     def __init__(self, engine: Engine, duration: float,
                  callback: Callable[[], Any], name: str = "timer"):
-        if duration <= 0:
+        if not duration > 0:
             raise ValueError(f"timer duration must be positive, got {duration!r}")
         self.engine = engine
         self.duration = duration
@@ -58,13 +65,18 @@ class Timer:
         self._handle = self.engine.schedule(self.duration, self._expire)
 
     def restart(self, duration: Optional[float] = None) -> None:
-        """(Re-)arm the timer for a full period from now."""
-        self.stop()
+        """(Re-)arm the timer for a full period from now.
+
+        A rejected ``duration`` leaves the timer exactly as it was."""
         if duration is not None:
-            if duration <= 0:
+            if not duration > 0:
                 raise ValueError(f"timer duration must be positive, got {duration!r}")
             self.duration = duration
-        self._handle = self.engine.schedule(self.duration, self._expire)
+        engine = self.engine
+        if self.running:
+            engine.reschedule_at(self._handle, engine.now + self.duration)
+        else:
+            self._handle = engine.schedule(self.duration, self._expire)
 
     def stop(self) -> None:
         """Disarm without firing."""
@@ -92,9 +104,9 @@ class PeriodicTimer:
     def __init__(self, engine: Engine, period: float,
                  callback: Callable[[], Any], name: str = "periodic",
                  phase: float = 0.0):
-        if period <= 0:
+        if not period > 0:
             raise ValueError(f"period must be positive, got {period!r}")
-        if phase < 0:
+        if not phase >= 0:
             raise ValueError(f"phase must be non-negative, got {phase!r}")
         self.engine = engine
         self.period = period

@@ -28,7 +28,11 @@ from repro.core.invariants import RingInvariantChecker
 from repro.fuzz import (FuzzCase, generate_case, hash_trace, run_case,
                         run_fuzz_campaign, shrink_case, verify_bundle,
                         write_bundle)
+from repro.faults import FaultSchedule
 from repro.fuzz.bundle import load_bundle
+from repro.fuzz.oracles import (check_no_false_triggers,
+                                false_trigger_oracle_applies)
+from repro.scenarios import Scenario, TrafficMix, run_scenario
 from repro.sim import Engine
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -93,6 +97,49 @@ class TestRunner:
         json.dumps(record)
         assert record["ok"] in (True, False)
         assert isinstance(record["trace_hash"], str)
+
+
+# ----------------------------------------------------------------------
+# zero-false-trigger oracle scope
+# ----------------------------------------------------------------------
+class TestFalseTriggerOracleScope:
+    """The oracle judges timer-launched recovery episodes only: a
+    ``graceful`` cut-out is a leaving station's announcement (Sec. 2.4.2),
+    not a SAT_TIMER firing."""
+
+    @pytest.mark.parametrize("index", [101, 107])
+    def test_departing_rap_callers_are_not_false_triggers(self, index):
+        # every episode here is a RAP-joined caller leaving at call end
+        case = generate_case(304, index)
+        assert false_trigger_oracle_applies(case.scenario)
+        result = run_case(case)
+        rec = result.built.network.recovery
+        assert rec.records and rec.false_triggers == 0
+        assert {r.kind for r in rec.records} == {"graceful"}
+        assert result.ok, [f.to_dict() for f in result.failures]
+
+    @staticmethod
+    def _adaptive_run(faults):
+        return run_scenario(Scenario(
+            n=6, adaptive_timers=True, traffic=TrafficMix(kind="none"),
+            faults=faults, horizon=1500.0)).network
+
+    @pytest.mark.parametrize("kind", ["silent", "sat_loss"])
+    def test_timer_launched_episodes_still_fail(self, kind):
+        builder = FaultSchedule.builder()
+        faults = (builder.kill(2, at=300.0) if kind == "silent"
+                  else builder.drop_signal(at=300.0)).build()
+        net = self._adaptive_run(faults)
+        assert [r.kind for r in net.recovery.records] == [kind]
+        failures = check_no_false_triggers(net)
+        assert [f.kind for f in failures] == ["false_trigger"]
+        assert f"kind={kind}" in failures[0].message
+
+    def test_graceful_leave_passes(self):
+        net = self._adaptive_run(
+            FaultSchedule.builder().leave(2, at=300.0).build())
+        assert [r.kind for r in net.recovery.records] == ["graceful"]
+        assert check_no_false_triggers(net) == []
 
 
 # ----------------------------------------------------------------------

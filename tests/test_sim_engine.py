@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.scenarios import Scenario, TrafficMix, build_scenario
 from repro.sim import Engine, SchedulingError, SimulationError
 
 
@@ -278,7 +279,8 @@ class TestAgendaHygiene:
         for h in rng.sample(handles, 150):
             h.cancel()
         while eng.step():
-            naive = sum(1 for x in eng._agenda if not x.cancelled)
+            # entries are (time, priority, seq, handle) tuples
+            naive = len({id(e[3]) for e in eng._agenda if not e[3].cancelled})
             assert eng.pending_count() == naive
         assert eng.pending_count() == 0
 
@@ -355,6 +357,54 @@ class TestSlotGridSnapping:
         eng.schedule(1.25, lambda: times.append(eng.now))
         eng.run()
         assert times == [0.5, 1.25]
+
+
+def _bare_engine():
+    return Engine()
+
+
+def _ring_engine():
+    # the ring sets slot_quantum, so its engine snaps times to the grid
+    eng = build_scenario(Scenario(n=4, traffic=TrafficMix(kind="none"),
+                                  horizon=50.0)).engine
+    assert eng.slot_quantum is not None
+    return eng
+
+
+class TestNaNTimes:
+    """NaN is not an event time: heap order cannot place it (it used to
+    fire wherever the heap happened to put it, with the clock reading NaN)
+    and a ring engine's grid snap cannot round it."""
+
+    NAN = float("nan")
+
+    @staticmethod
+    def _agenda(eng):
+        return list(eng._agenda), eng.pending_count(), eng.peek(), eng.now
+
+    @pytest.mark.parametrize("make", [_bare_engine, _ring_engine],
+                             ids=["bare", "ring"])
+    def test_schedule_rejects_nan(self, make):
+        eng = make()
+        for t in (5.0, 1.0, 3.0):
+            eng.schedule_at(t, lambda: None)
+        before = self._agenda(eng)
+        with pytest.raises(SchedulingError):
+            eng.schedule_at(self.NAN, lambda: None)
+        with pytest.raises(SchedulingError):
+            eng.schedule(self.NAN, lambda: None)
+        assert self._agenda(eng) == before
+
+    @pytest.mark.parametrize("make", [_bare_engine, _ring_engine],
+                             ids=["bare", "ring"])
+    def test_reschedule_rejects_nan(self, make):
+        eng = make()
+        h = eng.schedule_at(5.0, lambda: None)
+        before = self._agenda(eng)
+        with pytest.raises(SchedulingError):
+            eng.reschedule_at(h, self.NAN)
+        assert self._agenda(eng) == before
+        assert h.time == 5.0 and not h.cancelled
 
 
 class TestAdvanceTo:

@@ -1,0 +1,365 @@
+"""In-place watchdog re-arm (``Engine.reschedule_at`` / ``Timer.restart``).
+
+A re-arm must be indistinguishable from cancel-and-push: the differential
+test below drives the engine and a small eager model of that agenda —
+``(time, priority, seq)`` entries plus tombstones, every re-arm a tombstone
+and a fresh push — with one seeded operation stream and compares everything
+observable after every operation.
+"""
+
+import heapq
+import random
+
+import pytest
+
+from repro.scenarios import Scenario, TrafficMix, build_scenario
+from repro.sim import Engine, SchedulingError, Timer
+
+N_TIMERS = 4
+
+
+class EagerAgenda:
+    """Reference agenda: a re-arm tombstones the entry and pushes anew."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.heap = []            # (time, priority, seq)
+        self.live = {}            # seq -> callback; absent seq = tombstone
+        self.seq = 0
+        self.events_executed = 0
+
+    def schedule(self, delay, callback, priority=0):
+        self.seq += 1
+        heapq.heappush(self.heap, (self.now + delay, priority, self.seq))
+        self.live[self.seq] = callback
+        return self.seq
+
+    def cancel(self, seq):
+        self.live.pop(seq, None)
+
+    def time_of(self, seq):
+        return next(t for t, _, s in self.heap if s == seq)
+
+    def _head(self):
+        while self.heap and self.heap[0][2] not in self.live:
+            heapq.heappop(self.heap)
+        return self.heap[0] if self.heap else None
+
+    def peek(self):
+        head = self._head()
+        return head[0] if head else None
+
+    def pending_count(self):
+        return len(self.live)
+
+    def _fire(self):
+        t, _, seq = heapq.heappop(self.heap)
+        callback = self.live.pop(seq)
+        self.now = t
+        self.events_executed += 1
+        callback()
+
+    def step(self):
+        if self._head() is None:
+            return False
+        self._fire()
+        return True
+
+    def run(self, until=None, max_events=None):
+        executed = 0
+        while True:
+            head = self._head()
+            if (head is None or (until is not None and head[0] > until)
+                    or (max_events is not None and executed >= max_events)):
+                break
+            self._fire()
+            executed += 1
+        if until is not None and self.now < until:
+            nxt = self.peek()
+            if nxt is None or nxt > until:
+                self.now = until
+
+
+class EagerTimer:
+    """:class:`Timer` over :class:`EagerAgenda`: stop, then schedule."""
+
+    def __init__(self, agenda, callback):
+        self.agenda = agenda
+        self.callback = callback
+        self.entry = None
+
+    @property
+    def deadline(self):
+        return None if self.entry is None else self.agenda.time_of(self.entry)
+
+    def restart(self, duration):
+        self.stop()
+        self.entry = self.agenda.schedule(duration, self._expire)
+
+    def stop(self):
+        if self.entry is not None:
+            self.agenda.cancel(self.entry)
+            self.entry = None
+
+    def _expire(self):
+        self.entry = None
+        self.callback()
+
+
+class Side:
+    """One side of the differential: an agenda, its timers, and a firing
+    log.  Callbacks draw follow-up operations from the side's own rng, so
+    both sides make the same draws exactly as long as they fire alike."""
+
+    def __init__(self, real, seed):
+        self.real = real
+        if real:
+            self.agenda = Engine()
+            self.timers = [Timer(self.agenda, 1.0, self._on_timer(k))
+                           for k in range(N_TIMERS)]
+        else:
+            self.agenda = EagerAgenda()
+            self.timers = [EagerTimer(self.agenda, self._on_timer(k))
+                           for k in range(N_TIMERS)]
+        self.rng = random.Random(seed)
+        self.log = []
+        self.pending = {}         # label -> handle, in scheduling order
+        self.labels = 0
+
+    def _on_timer(self, k):
+        return lambda: self._fired(f"T{k}")
+
+    def _fired(self, label):
+        self.log.append((label, self.agenda.now))
+        self.pending.pop(label, None)
+        if self.rng.random() < 0.6:
+            self.apply(draw_op(self.rng, self, in_callback=True))
+
+    def observe(self):
+        a = self.agenda
+        return (list(self.log), a.now, a.events_executed, a.peek(),
+                a.pending_count(), [t.deadline for t in self.timers])
+
+    def apply(self, op):
+        a = self.agenda
+        kind = op[0]
+        if kind == "schedule":
+            _, delay, priority = op
+            self.labels += 1
+            label = f"e{self.labels}"
+            cb = (lambda lab=label: self._fired(lab))
+            self.pending[label] = a.schedule(delay, cb, priority=priority)
+        elif kind == "cancel":
+            label = op[1]
+            handle = self.pending.pop(label)
+            if self.real:
+                handle.cancel()
+            else:
+                a.cancel(handle)
+        elif kind == "restart":
+            self.timers[op[1]].restart(op[2])
+        elif kind == "stop":
+            self.timers[op[1]].stop()
+        elif kind == "step":
+            a.step()
+        elif kind == "peek":
+            a.peek()
+        elif kind == "run_until":
+            a.run(until=a.now + op[1])
+        elif kind == "run_max":
+            a.run(max_events=op[1])
+        else:  # pragma: no cover
+            raise AssertionError(op)
+
+
+def draw_op(rng, side, in_callback):
+    """A concrete operation drawn from ``rng`` against ``side``'s state.
+    Times are small integers, so equal deadlines and same-time ties (broken
+    by priority, then seq) are common."""
+    kinds = ["schedule", "cancel", "restart", "restart", "restart", "stop"]
+    if not in_callback:
+        kinds += ["step", "peek", "run_until", "run_max"]
+    kind = rng.choice(kinds)
+    now = side.agenda.now
+    if kind == "schedule":
+        return ("schedule", float(rng.randint(0, 12)), rng.choice((-1, 0, 1)))
+    if kind == "cancel":
+        if not side.pending:
+            return ("peek",) if not in_callback else ("stop", 0)
+        return ("cancel", rng.choice(sorted(side.pending)))
+    if kind == "stop":
+        return ("stop", rng.randrange(N_TIMERS))
+    if kind == "restart":
+        k = rng.randrange(N_TIMERS)
+        deadline = side.timers[k].deadline
+        mode = rng.choice(("later", "equal", "earlier"))
+        if deadline is None:
+            return ("restart", k, float(rng.randint(1, 12)))
+        left = deadline - now
+        if mode == "equal" and left > 0:
+            return ("restart", k, left)
+        if mode == "earlier" and left > 1:
+            return ("restart", k, float(rng.randint(1, int(left) - 1)))
+        return ("restart", k, left + rng.randint(1, 6))
+    if kind == "run_until":
+        return ("run_until", float(rng.randint(0, 8)))
+    if kind == "run_max":
+        return ("run_max", rng.randint(0, 5))
+    return (kind,)
+
+
+def live_entries(eng):
+    """Agenda entries that still carry a pending handle."""
+    return sum(1 for e in eng._agenda
+               if e[2] == e[3]._filed and not e[3].cancelled)
+
+
+class TestDifferentialAgainstEagerAgenda:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_seeded_op_stream_matches_cancel_and_push(self, seed):
+        master = random.Random(seed)
+        real = Side(True, 1000 + seed)
+        ref = Side(False, 1000 + seed)
+        for _ in range(400):
+            op = draw_op(master, real, in_callback=False)
+            real.apply(op)
+            ref.apply(op)
+            assert real.observe() == ref.observe(), op
+            assert live_entries(real.agenda) == real.agenda.pending_count()
+        real.agenda.run()
+        ref.agenda.run()
+        assert real.observe() == ref.observe()
+        assert real.agenda.pending_count() == 0
+
+    def test_stream_exercises_every_rearm_path(self):
+        # the seeded streams above must reach all three re-arm shapes,
+        # re-arms from inside callbacks, and stale-entry re-files
+        counts = dict.fromkeys(("later", "equal", "earlier", "in_callback",
+                                "refiled"), 0)
+        move, head = Engine.reschedule_at, Engine._head
+
+        def counting_move(eng, handle, time):
+            key = ("later" if time > handle.time else
+                   "equal" if time == handle.time else "earlier")
+            counts[key] += 1
+            counts["in_callback"] += eng._running
+            move(eng, handle, time)
+
+        def counting_head(eng):
+            if eng._agenda:
+                seq, handle = eng._agenda[0][2:]
+                counts["refiled"] += (not handle.cancelled
+                                      and seq == handle._filed != handle.seq)
+            return head(eng)
+
+        Engine.reschedule_at, Engine._head = counting_move, counting_head
+        try:
+            for seed in range(4):
+                self.test_seeded_op_stream_matches_cancel_and_push(seed)
+        finally:
+            Engine.reschedule_at, Engine._head = move, head
+        assert min(counts.values()) > 0, counts
+
+
+class TestInPlaceRearm:
+    def test_later_deadline_keeps_one_entry(self):
+        eng = Engine()
+        t = Timer(eng, 10.0, lambda: None)
+        t.start()
+        for kick in range(1, 50):
+            eng.run(until=float(kick))
+            t.restart()
+        assert len(eng._agenda) == 1
+        assert eng.pending_count() == 1
+        assert t.deadline == 59.0
+        assert eng.peek() == 59.0
+
+    def test_earlier_deadline_pushes_and_tombstones(self):
+        eng = Engine()
+        fired = []
+        t = Timer(eng, 10.0, lambda: fired.append(eng.now))
+        t.start()
+        t.restart(duration=4.0)
+        assert len(eng._agenda) == 2 and eng.pending_count() == 1
+        eng.run()
+        assert fired == [4.0]
+        assert eng.pending_count() == 0 and not eng._agenda
+
+    def test_refile_is_not_an_event_and_keeps_the_clock(self):
+        eng = Engine()
+        fired = []
+        h = eng.schedule_at(5.0, fired.append, "moved")
+        eng.reschedule_at(h, 9.0)
+        eng.schedule_at(7.0, fired.append, "other")
+        eng.run(until=6.0)
+        assert fired == [] and eng.events_executed == 0
+        assert eng.now == 6.0
+        assert eng.peek() == 7.0
+        eng.run()
+        assert fired == ["other", "moved"]
+        assert eng.events_executed == 2
+
+    def test_equal_deadline_goes_behind_same_time_peers(self):
+        # a fresh seq, exactly as cancel-and-push would take
+        eng = Engine()
+        fired = []
+        h = eng.schedule_at(5.0, fired.append, "first")
+        eng.schedule_at(5.0, fired.append, "second")
+        eng.reschedule_at(h, 5.0)
+        eng.run()
+        assert fired == ["second", "first"]
+
+    def test_rejects_handles_that_are_not_pending(self):
+        eng = Engine()
+        done = eng.schedule(1.0, lambda: None)
+        eng.run()
+        cancelled = eng.schedule(1.0, lambda: None)
+        cancelled.cancel()
+        foreign = Engine().schedule(1.0, lambda: None)
+        for h in (done, cancelled, foreign):
+            with pytest.raises(SchedulingError):
+                eng.reschedule_at(h, 5.0)
+
+    def test_rejects_past_time_and_keeps_the_deadline(self):
+        eng = Engine()
+        h = eng.schedule(10.0, lambda: None)
+        eng.run(until=4.0)
+        with pytest.raises(SchedulingError):
+            eng.reschedule_at(h, 3.0)
+        assert h.time == 10.0 and eng.peek() == 10.0
+
+    def test_cancel_after_move_is_counted_once(self):
+        eng = Engine()
+        h = eng.schedule(10.0, lambda: None)
+        eng.reschedule_at(h, 3.0)     # earlier: old entry is tombstoned
+        eng.reschedule_at(h, 20.0)    # later: in place
+        h.cancel()
+        assert eng.pending_count() == 0
+        assert eng.peek() is None
+        assert not eng._agenda
+
+
+class TestIdleRingAgenda:
+    """One SAT_TIMER restart per slot on an idle ring: the watchdogs must
+    not leave a tombstone per hand-off in the agenda."""
+
+    N, SLOTS = 48, 3000
+
+    def test_agenda_stays_at_one_entry_per_station_plus_tick(self):
+        scn = Scenario(n=self.N, l=2, k=1, rap_enabled=False,
+                       traffic=TrafficMix(kind="none"),
+                       horizon=float(self.SLOTS))
+        eng = build_scenario(scn).engine
+        peak = len(eng._agenda)
+        while True:
+            nxt = eng.peek()
+            if nxt is None or nxt > self.SLOTS:
+                break
+            eng.step()
+            peak = max(peak, len(eng._agenda))
+        # cancel-and-push kept up to 2n = 96 entries here
+        assert peak <= self.N + 1
+        # same events as a plain run (3000 ticks plus the start-up event)
+        ref = build_scenario(scn).engine
+        ref.run(until=float(self.SLOTS))
+        assert eng.events_executed == ref.events_executed == 3001

@@ -79,11 +79,29 @@ class TestTimer:
 
     def test_nonpositive_duration_rejected(self):
         eng = Engine()
-        with pytest.raises(ValueError):
-            Timer(eng, 0.0, lambda: None)
         t = Timer(eng, 1.0, lambda: None)
-        with pytest.raises(ValueError):
-            t.restart(duration=-2.0)
+        for bad in (0.0, -2.0, float("nan")):
+            with pytest.raises(ValueError):
+                Timer(eng, bad, lambda: None)
+            with pytest.raises(ValueError):
+                t.restart(duration=bad)
+        assert t.duration == 1.0
+
+    def test_rejected_restart_keeps_the_watchdog_armed(self):
+        # restart() used to disarm the timer before validating, leaving the
+        # watchdog silently off after the ValueError
+        eng = Engine()
+        fired = []
+        t = Timer(eng, 10.0, lambda: fired.append(eng.now))
+        t.start()
+        eng.run(until=3.0)
+        for bad in (0.0, -2.0, float("nan")):
+            with pytest.raises(ValueError):
+                t.restart(duration=bad)
+            assert t.running and t.deadline == 10.0
+        assert t.duration == 10.0
+        eng.run()
+        assert fired == [10.0]
 
     def test_timer_can_rearm_itself_from_callback(self):
         eng = Engine()
@@ -144,10 +162,12 @@ class TestPeriodicTimer:
 
     def test_invalid_params_rejected(self):
         eng = Engine()
-        with pytest.raises(ValueError):
-            PeriodicTimer(eng, 0.0, lambda: None)
-        with pytest.raises(ValueError):
-            PeriodicTimer(eng, 1.0, lambda: None, phase=-1.0)
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                PeriodicTimer(eng, bad, lambda: None)
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                PeriodicTimer(eng, 1.0, lambda: None, phase=bad)
 
     def test_start_twice_is_noop(self):
         eng = Engine()
