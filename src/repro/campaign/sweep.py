@@ -13,7 +13,8 @@ that declaratively:
 
 Axis/override keys address fields of the scenario *dict*
 (:func:`repro.config_io.scenario_to_dict`); dotted keys reach nested
-fields (``"traffic.rate"``, ``"mobility.wander_radius"``).  A sweep with
+fields (``"traffic.rate"``, ``"mobility.wander_radius"``); a misspelt key
+raises ``ValueError`` at :meth:`Sweep.expand`.  A sweep with
 ``topology=`` set ranges over a multi-ring fabric instead
 (:class:`repro.fabric.Topology`): the base dict comes from
 :func:`repro.fabric.topology_to_dict` and axes may address fabric fields
@@ -37,7 +38,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.config_io import scenario_from_dict, scenario_to_dict
+from repro.config_io import (UnknownKeyError, from_dict, option,
+                             scenario_from_dict, scenario_to_dict, to_dict)
 from repro.scenarios import Scenario
 from repro.sim.rng import RandomStreams
 
@@ -77,10 +79,7 @@ class SweepPoint:
     key: str                        #: canonical JSON of ``overrides``
 
     def scenario(self) -> Scenario:
-        if "topology" in self.scenario_dict:
-            raise ValueError(
-                "fabric sweep point — rebuild it with "
-                "repro.fabric.topology_from_dict(point.scenario_dict)")
+        """Single-ring points only (see ``repro.fabric.topology_from_dict``)."""
         return scenario_from_dict(self.scenario_dict)
 
     def label(self) -> str:
@@ -97,21 +96,34 @@ def _short(value: Any) -> str:
     return text if len(text) <= 24 else text[:21] + "..."
 
 
+def _topology_to_json(topology: Any) -> Dict[str, Any]:
+    if isinstance(topology, Mapping):
+        return json.loads(json.dumps(topology))
+    from repro.fabric.topology import topology_to_dict
+    return topology_to_dict(topology)
+
+
 @dataclass
 class Sweep:
-    """A declarative campaign: base scenario + the points to visit."""
+    """A declarative campaign: base scenario + the points to visit (fields
+    in the key order of its JSON form, :func:`sweep_to_dict`)."""
 
     base: Scenario = field(default_factory=Scenario)
-    axes: Optional[Mapping[str, Sequence[Any]]] = None
     mode: str = "grid"                       # "grid" | "zip"
-    points: Optional[Sequence[Mapping[str, Any]]] = None
-    name: str = ""
     seed: int = 0                            #: master seed for derivation
     derive_seeds: bool = True
+    name: str = option("", omit_default=True)
+    axes: Optional[Mapping[str, Sequence[Any]]] = option(
+        None, omit_default=True, codec=(
+            lambda axes: {k: list(v) for k, v in axes.items()},
+            lambda axes, where: axes))
+    points: Optional[Sequence[Mapping[str, Any]]] = option(None,
+                                                           omit_default=True)
     #: a :class:`repro.fabric.Topology` (or its dict form) — when set the
     #: sweep ranges over fabric runs and ``base`` is ignored (the topology
     #: carries its own per-ring base scenario)
-    topology: Optional[Any] = None
+    topology: Optional[Any] = option(None, omit_default=True, codec=(
+        _topology_to_json, lambda topology, where: topology))
 
     def __post_init__(self) -> None:
         if self.mode not in ("grid", "zip"):
@@ -141,13 +153,15 @@ class Sweep:
     def _base_dict(self) -> Dict[str, Any]:
         if self.topology is None:
             return scenario_to_dict(self.base)
-        if isinstance(self.topology, Mapping):
-            return json.loads(json.dumps(self.topology))
-        from repro.fabric.topology import topology_to_dict
-        return topology_to_dict(self.topology)
+        return _topology_to_json(self.topology)
 
     def expand(self) -> List[SweepPoint]:
-        """Materialize every point, in deterministic sweep order."""
+        """Materialize every point, in deterministic sweep order, decoding
+        each: a misspelt key fails the sweep before anything runs, a bad
+        *value* (``n=1``) fails only its own point, in the worker."""
+        from repro.fabric.topology import topology_from_dict
+        decode = (scenario_from_dict if self.topology is None
+                  else topology_from_dict)
         base_dict = self._base_dict()
         streams = RandomStreams(self.seed)
         out: List[SweepPoint] = []
@@ -161,6 +175,12 @@ class Sweep:
             scenario_dict = apply_overrides(base_dict, overrides)
             if self.derive_seeds and "seed" not in overrides:
                 scenario_dict["seed"] = streams.derive(key)
+            try:
+                decode(scenario_dict)
+            except UnknownKeyError:
+                raise
+            except (TypeError, ValueError):
+                pass
             out.append(SweepPoint(index=index, overrides=dict(overrides),
                                   scenario_dict=scenario_dict, key=key))
         return out
@@ -171,38 +191,9 @@ class Sweep:
 
 
 # ----------------------------------------------------------------------
-def sweep_to_dict(sweep: Sweep) -> Dict[str, Any]:
-    """JSON-serializable description of ``sweep``."""
-    out: Dict[str, Any] = {
-        "base": scenario_to_dict(sweep.base),
-        "mode": sweep.mode,
-        "seed": sweep.seed,
-        "derive_seeds": sweep.derive_seeds,
-    }
-    if sweep.name:
-        out["name"] = sweep.name
-    if sweep.axes is not None:
-        out["axes"] = {k: list(v) for k, v in sweep.axes.items()}
-    if sweep.points is not None:
-        out["points"] = [dict(p) for p in sweep.points]
-    if sweep.topology is not None:
-        out["topology"] = sweep._base_dict()
-    return out
+sweep_to_dict = to_dict
 
 
 def sweep_from_dict(data: Mapping[str, Any]) -> Sweep:
     """Build a Sweep from the dict shape :func:`sweep_to_dict` emits."""
-    known = {"base", "mode", "seed", "derive_seeds", "name", "axes",
-             "points", "topology"}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown sweep keys: {sorted(unknown)}")
-    base = scenario_from_dict(data.get("base", {}))
-    return Sweep(base=base,
-                 axes=data.get("axes"),
-                 mode=data.get("mode", "grid"),
-                 points=data.get("points"),
-                 name=data.get("name", ""),
-                 seed=data.get("seed", 0),
-                 derive_seeds=data.get("derive_seeds", True),
-                 topology=data.get("topology"))
+    return from_dict(Sweep, dict(data))

@@ -30,6 +30,7 @@ multi-ring topology bridged by gateways, serially or one process per ring
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -38,7 +39,47 @@ from typing import List, Optional
 __all__ = ["main", "build_parser"]
 
 
+#: CLI spelling of a service class -> its config name
+_SERVICES = {"premium": "premium", "assured": "assured", "be": "best_effort"}
+
+#: ``simulate`` without ``--config``: Premium traffic, unlike the default
+_SIMULATE_BASE = {"traffic": {"service": "premium"}}
+
+
+class _Override(argparse.Action):
+    """A flag that sets the dotted config ``key``.  Its value lands in
+    ``args.overrides`` only when the flag is given, so it never masks a
+    ``--config`` value; its ``args`` default is ``key``'s value in
+    ``declared``, the config dict of the declared defaults."""
+
+    def __init__(self, option_strings, dest, key, declared, **kwargs):
+        for part in key.split("."):
+            declared = (declared.get(part) if isinstance(declared, dict)
+                        else None)
+        super().__init__(option_strings, dest, default=declared, **kwargs)
+        self.key = key
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if self.nargs == 0:                     # a switch
+            values = self.const
+        elif isinstance(self.choices, dict):    # CLI spelling -> config value
+            values = self.choices[values]
+        setattr(namespace, self.dest, values)
+        namespace.overrides = {**namespace.overrides, self.key: values}
+
+
+def _overrides(parser: argparse.ArgumentParser, declared: dict):
+    """``parser.add_argument`` for :class:`_Override` flags."""
+    parser.set_defaults(overrides={})
+    return functools.partial(parser.add_argument, action=_Override,
+                             declared=declared)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from repro.campaign.sweep import sweep_from_dict, sweep_to_dict
+    from repro.config_io import scenario_from_dict, scenario_to_dict
+    from repro.fabric.topology import topology_from_dict, topology_to_dict
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="WRT-Ring (Donatiello & Furini 2003) reproduction toolkit")
@@ -46,57 +87,58 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a WRT-Ring scenario")
     sim.add_argument("--config", type=str, default=None,
-                     help="JSON scenario file (overrides the other flags)")
-    sim.add_argument("--n", type=int, default=8)
-    sim.add_argument("--l", type=int, default=2)
-    sim.add_argument("--k", type=int, default=1)
-    sim.add_argument("--horizon", type=float, default=10_000.0)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--traffic", choices=["none", "poisson", "cbr", "video",
-                                           "backlog", "onoff", "voice"],
-                     default="poisson")
-    sim.add_argument("--rate", type=float, default=0.05,
-                     help="per-station rate for poisson traffic")
-    sim.add_argument("--period", type=float, default=20.0,
-                     help="period / frame interval for cbr/video")
-    sim.add_argument("--peak-rate", type=float, default=0.05,
-                     help="on-phase rate for onoff/voice traffic")
-    sim.add_argument("--mean-on", type=float, default=350.0,
-                     help="mean talkspurt length (slots) for onoff/voice")
-    sim.add_argument("--mean-off", type=float, default=650.0,
-                     help="mean silence length (slots) for onoff/voice")
-    sim.add_argument("--service", choices=["premium", "assured", "be"],
-                     default="premium")
-    sim.add_argument("--deadline", type=float, default=None)
+                     help="JSON scenario file (flags given override its keys)")
+    add = _overrides(sim,
+                     scenario_to_dict(scenario_from_dict(_SIMULATE_BASE)))
+    add("--n", key="n", type=int)
+    add("--l", key="l", type=int)
+    add("--k", key="k", type=int)
+    add("--horizon", key="horizon", type=float)
+    add("--seed", key="seed", type=int)
+    add("--traffic", key="traffic.kind",
+        choices=["none", "poisson", "cbr", "video", "backlog", "onoff",
+                 "voice"])
+    add("--rate", key="traffic.rate", type=float,
+        help="per-station rate for poisson traffic")
+    add("--period", key="traffic.period", type=float,
+        help="period / frame interval for cbr/video")
+    add("--peak-rate", key="traffic.peak_rate", type=float,
+        help="on-phase rate for onoff/voice traffic")
+    add("--mean-on", key="traffic.mean_on", type=float,
+        help="mean talkspurt length (slots) for onoff/voice")
+    add("--mean-off", key="traffic.mean_off", type=float,
+        help="mean silence length (slots) for onoff/voice")
+    add("--service", key="traffic.service", choices=_SERVICES)
+    add("--deadline", key="traffic.deadline", type=float)
     sim.add_argument("--calls", type=int, default=0, metavar="N",
                      help="offer N voice calls over the run (QoE session "
                           "layer: admission, per-call MOS; see docs/QOE.md)")
-    sim.add_argument("--call-rate", type=float, default=0.005,
-                     help="call arrival rate (calls/slot)")
-    sim.add_argument("--call-holding", type=float, default=2000.0,
-                     help="mean call holding time (slots)")
-    sim.add_argument("--call-deadline", type=float, default=150.0,
-                     help="per-packet delivery deadline for calls (slots)")
-    sim.add_argument("--call-mos-floor", type=float, default=3.5,
-                     help="MOS threshold a call must reach to count as good")
-    sim.add_argument("--call-video-fraction", type=float, default=0.0,
-                     help="fraction of sessions that are video streams")
+    add("--call-rate", key="calls.arrival_rate", type=float,
+        help="call arrival rate (calls/slot)")
+    add("--call-holding", key="calls.mean_holding", type=float,
+        help="mean call holding time (slots)")
+    add("--call-deadline", key="calls.deadline", type=float,
+        help="per-packet delivery deadline for calls (slots)")
+    add("--call-mos-floor", key="calls.mos_floor", type=float,
+        help="MOS threshold a call must reach to count as good")
+    add("--call-video-fraction", key="calls.video_fraction", type=float,
+        help="fraction of sessions that are video streams")
     sim.add_argument("--calls-via-rap", action="store_true",
                      help="callers join the ring through RAP before talking "
                           "(implies --rap and the broadcast channel)")
-    sim.add_argument("--no-call-admission", action="store_true",
-                     help="disable call-level CAC (measurement mode)")
-    sim.add_argument("--rap", action="store_true",
-                     help="enable the Random Access Period")
-    sim.add_argument("--wander", type=float, default=0.0,
+    add("--no-call-admission", key="calls.admission", nargs=0, const=False,
+        help="disable call-level CAC (measurement mode)")
+    add("--rap", key="rap_enabled", nargs=0, const=True,
+        help="enable the Random Access Period")
+    sim.add_argument("--wander", type=float, default=None,
                      help="mobility wander radius (0 = static)")
     sim.add_argument("--kill", type=str, default="",
                      help="comma list of station:time silent deaths")
     sim.add_argument("--leave", type=str, default="",
                      help="comma list of station:time announced departures")
-    sim.add_argument("--loss-prob", type=float, default=0.0,
-                     help="independent per-hop frame-loss probability "
-                          "(stochastic channel impairments; seeded)")
+    add("--loss-prob", key="impairments.loss_prob", type=float,
+        help="independent per-hop frame-loss probability "
+             "(stochastic channel impairments; seeded)")
     sim.add_argument("--ge", type=str, default=None, metavar="P_GB:P_BG[:LOSS_BAD]",
                      help="Gilbert-Elliott bursty-loss process: good->bad "
                           "and bad->good transition probabilities, optional "
@@ -106,18 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="deterministic noise window killing every frame "
                           "in [START, END) (optionally only on CODE); "
                           "repeatable")
-    sim.add_argument("--check-invariants", action="store_true")
-    sim.add_argument("--kernel", choices=["scalar", "batched"],
-                     default=None,
-                     help="tick driver: 'scalar' (reference, one event per "
-                          "slot) or 'batched' (inline slot batching + "
-                          "analytic fast-forward; byte-identical output, "
-                          "see docs/KERNEL.md)")
-    sim.add_argument("--adaptive-timers", action="store_true",
-                     help="arm SAT_TIMERs from an RFC 6298 SRTT/RTTVAR "
-                          "estimator over observed rotations (ceilinged at "
-                          "the Theorem-1 bound) instead of the fixed "
-                          "worst case; see docs/RESILIENCE.md")
+    add("--check-invariants", key="check_invariants", nargs=0, const=True)
+    add("--kernel", key="kernel", choices=["scalar", "batched"],
+        help="tick driver: 'scalar' (reference, one event per slot) or "
+             "'batched' (inline slot batching + analytic fast-forward; "
+             "byte-identical output, see docs/KERNEL.md)")
+    add("--adaptive-timers", key="adaptive_timers", nargs=0, const=True,
+        help="arm SAT_TIMERs from an RFC 6298 SRTT/RTTVAR estimator over "
+             "observed rotations (ceilinged at the Theorem-1 bound) instead "
+             "of the fixed worst case; see docs/RESILIENCE.md")
     sim.add_argument("--timeline", type=str, default=None, metavar="OUT.json",
                      help="export a Chrome-trace/Perfetto timeline of the "
                           "run (SAT holds, RAP windows, slot occupancy, "
@@ -131,44 +170,42 @@ def build_parser() -> argparse.ArgumentParser:
                                         "bridged by gateways (serial or "
                                         "one process per ring)")
     fab.add_argument("--config", type=str, default=None,
-                     help="JSON topology file (overrides the other flags; "
+                     help="JSON topology file (flags given override its keys; "
                           "see examples/conference_building.json)")
-    fab.add_argument("--rings", type=int, default=4)
-    fab.add_argument("--ring-size", type=int, default=8,
-                     help="stations per ring (gateways included)")
-    fab.add_argument("--layout", choices=["chain", "cycle", "star"],
-                     default="chain")
-    fab.add_argument("--placement", choices=["spread", "first"],
-                     default="spread",
-                     help="where gateway stations sit on each ring")
-    fab.add_argument("--flows", type=int, default=4,
-                     help="number of generated cross-ring flows")
-    fab.add_argument("--flow-kind", choices=["cbr", "poisson"], default="cbr")
-    fab.add_argument("--flow-rate", type=float, default=0.02,
-                     help="per-flow rate for poisson cross traffic")
-    fab.add_argument("--flow-period", type=float, default=50.0,
-                     help="inter-frame period for cbr cross traffic")
-    fab.add_argument("--flow-service", choices=["premium", "assured", "be"],
-                     default="premium")
-    fab.add_argument("--deadline", type=float, default=None,
-                     help="relative end-to-end deadline per cross-ring frame")
-    fab.add_argument("--min-hops", type=int, default=1,
-                     help="minimum gateway hops per generated flow")
-    fab.add_argument("--gateway-buffer", type=int, default=64,
-                     help="per-direction gateway buffer (frames)")
-    fab.add_argument("--ttl", type=float, default=None,
-                     help="max slots a frame may wait in a gateway buffer")
-    fab.add_argument("--sync-window", type=float, default=None,
-                     help="override the conservative sync window "
-                          "(default: min SAT rotation bound across rings)")
-    fab.add_argument("--horizon", type=float, default=2_000.0)
-    fab.add_argument("--seed", type=int, default=0)
+    add = _overrides(fab, topology_to_dict(topology_from_dict({})))
+    add("--rings", key="topology.rings", type=int)
+    add("--ring-size", key="topology.ring_size", type=int,
+        help="stations per ring (gateways included)")
+    add("--layout", key="topology.layout", choices=["chain", "cycle", "star"])
+    add("--placement", key="topology.gateway_placement",
+        choices=["spread", "first"],
+        help="where gateway stations sit on each ring")
+    add("--flows", key="topology.cross_flows", type=int,
+        help="number of generated cross-ring flows")
+    add("--flow-kind", key="topology.flow_kind", choices=["cbr", "poisson"])
+    add("--flow-rate", key="topology.flow_rate", type=float,
+        help="per-flow rate for poisson cross traffic")
+    add("--flow-period", key="topology.flow_period", type=float,
+        help="inter-frame period for cbr cross traffic")
+    add("--flow-service", key="topology.flow_service", choices=_SERVICES)
+    add("--deadline", key="topology.flow_deadline", type=float,
+        help="relative end-to-end deadline per cross-ring frame")
+    add("--min-hops", key="topology.min_ring_hops", type=int,
+        help="minimum gateway hops per generated flow")
+    add("--gateway-buffer", key="topology.gateway_buffer", type=int,
+        help="per-direction gateway buffer (frames)")
+    add("--ttl", key="topology.frame_ttl", type=float,
+        help="max slots a frame may wait in a gateway buffer")
+    add("--sync-window", key="topology.sync_window", type=float,
+        help="override the conservative sync window "
+             "(default: min SAT rotation bound across rings)")
+    add("--horizon", key="horizon", type=float)
+    add("--seed", key="seed", type=int)
     fab.add_argument("--mode", choices=["serial", "sharded"],
                      default="serial")
-    fab.add_argument("--kernel", choices=["scalar", "batched"],
-                     default="scalar",
-                     help="per-ring tick driver (see docs/KERNEL.md); "
-                          "applies to every shard in either mode")
+    add("--kernel", key="kernel", choices=["scalar", "batched"],
+        help="per-ring tick driver (see docs/KERNEL.md) for every shard, "
+             "in place of the topology's kernel key")
     fab.add_argument("--parity", action="store_true",
                      help="run BOTH modes and verify byte-identical merged "
                           "traces and tables")
@@ -189,26 +226,25 @@ def build_parser() -> argparse.ArgumentParser:
                                       "(parallel, cached, resumable)")
     sw.add_argument("--config", type=str, default=None,
                     help="JSON sweep file: {base, mode, axes|points, seed,"
-                         " name} (overrides the axis/base flags)")
+                         " name}; flags given with it override its keys")
     sw.add_argument("--axis", action="append", default=[],
                     metavar="FIELD=V1,V2,...",
                     help="sweep axis over a scenario field (repeatable; "
                          "dotted fields like traffic.rate allowed)")
-    sw.add_argument("--mode", choices=["grid", "zip"], default="grid",
-                    help="combine axes as cartesian product or in lockstep")
-    sw.add_argument("--n", type=int, default=8)
-    sw.add_argument("--l", type=int, default=2)
-    sw.add_argument("--k", type=int, default=1)
-    sw.add_argument("--horizon", type=float, default=10_000.0)
-    sw.add_argument("--seed", type=int, default=0,
-                    help="campaign master seed (per-point seeds derive "
-                         "from it)")
-    sw.add_argument("--traffic", choices=["none", "poisson", "cbr", "video",
-                                          "backlog", "saturate", "onoff",
-                                          "voice"],
-                    default="poisson")
-    sw.add_argument("--rate", type=float, default=0.05)
-    sw.add_argument("--period", type=float, default=20.0)
+    add = _overrides(sw, sweep_to_dict(sweep_from_dict({"points": []})))
+    add("--mode", key="mode", choices=["grid", "zip"],
+        help="combine axes as cartesian product or in lockstep")
+    add("--n", key="base.n", type=int)
+    add("--l", key="base.l", type=int)
+    add("--k", key="base.k", type=int)
+    add("--horizon", key="base.horizon", type=float)
+    add("--seed", key="seed", type=int,
+        help="campaign master seed (per-point seeds derive from it)")
+    add("--traffic", key="base.traffic.kind",
+        choices=["none", "poisson", "cbr", "video", "backlog", "saturate",
+                 "onoff", "voice"])
+    add("--rate", key="base.traffic.rate", type=float)
+    add("--period", key="base.traffic.period", type=float)
     sw.add_argument("--store", type=str, default=None,
                     help="result-store directory "
                          "(default .campaign/<sweep name>)")
@@ -318,37 +354,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ----------------------------------------------------------------------
-def _parse_impairments(args: argparse.Namespace):
-    """Build an ImpairmentSpec from the simulate flags (None when clean)."""
-    if args.loss_prob <= 0.0 and args.ge is None and not args.noise_burst:
-        return None
-    from repro.phy.impairments import ImpairmentSpec, NoiseBurst
-
-    kwargs: dict = {"loss_prob": args.loss_prob}
+def _impairment_overrides(args: argparse.Namespace) -> dict:
+    """Dotted impairment overrides from ``--ge`` and ``--noise-burst``."""
+    out: dict = {}
     if args.ge is not None:
         parts = args.ge.split(":")
         if len(parts) not in (2, 3):
             raise SystemExit(f"bad --ge entry {args.ge!r}; "
                              f"expected P_GB:P_BG[:LOSS_BAD]")
-        kwargs["ge_p_gb"] = float(parts[0])
-        kwargs["ge_p_bg"] = float(parts[1])
-        if len(parts) == 3:
-            kwargs["ge_loss_bad"] = float(parts[2])
+        for name, text in zip(("ge_p_gb", "ge_p_bg", "ge_loss_bad"), parts):
+            out[f"impairments.{name}"] = float(text)
     bursts = []
     for entry in args.noise_burst:
         parts = entry.split(":")
         if len(parts) not in (2, 3):
             raise SystemExit(f"bad --noise-burst entry {entry!r}; "
                              f"expected START:END[:CODE]")
-        bursts.append(NoiseBurst(
-            start=float(parts[0]), end=float(parts[1]),
-            code=int(parts[2]) if len(parts) == 3 else None))
+        burst = {"start": float(parts[0]), "end": float(parts[1])}
+        if len(parts) == 3:
+            burst["code"] = int(parts[2])
+        bursts.append(burst)
     if bursts:
-        kwargs["bursts"] = tuple(bursts)
-    try:
-        return ImpairmentSpec(**kwargs)
-    except ValueError as exc:
-        raise SystemExit(f"bad impairment flags: {exc}")
+        out["impairments.bursts"] = bursts
+    return out
 
 
 def _parse_station_times(text: str) -> List[tuple]:
@@ -361,6 +389,20 @@ def _parse_station_times(text: str) -> List[tuple]:
             raise SystemExit(f"bad station:time entry {item!r}")
         out.append((int(station), float(when)))
     return out
+
+
+def _resolve(decode, args: argparse.Namespace, base: dict, overrides: dict,
+             what: str):
+    """Decode the ``--config`` file (``base`` without one) with the
+    dotted-key ``overrides`` applied; a bad key or value exits."""
+    from repro.campaign.sweep import apply_overrides
+
+    if args.config is not None:
+        base = json.loads(Path(args.config).read_text())
+    try:
+        return decode(apply_overrides(base, overrides))
+    except ValueError as exc:
+        raise SystemExit(f"bad {what}: {exc}")
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -413,95 +455,41 @@ def _run_observed(scenario, timeline: Optional[str],
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.core.packet import ServiceClass
-    from repro.faults import FaultSchedule
-    from repro.scenarios import MobilitySpec, Scenario, TrafficMix
+    from repro.config_io import scenario_from_dict
 
-    if args.config is not None:
-        from dataclasses import replace
-
-        from repro.config_io import load_scenario
-        scenario = load_scenario(args.config)
-        if args.kernel is not None and args.kernel != scenario.kernel:
-            scenario = replace(scenario, kernel=args.kernel)
-        if args.adaptive_timers and not scenario.adaptive_timers:
-            scenario = replace(scenario, adaptive_timers=True)
-        payload = _run_observed(scenario, args.timeline, args.metrics)
-        _emit(payload, args.json)
-        return 0
-
-    service = {"premium": ServiceClass.PREMIUM,
-               "assured": ServiceClass.ASSURED,
-               "be": ServiceClass.BEST_EFFORT}[args.service]
-    if service is ServiceClass.BEST_EFFORT and args.deadline is not None:
+    over = dict(args.overrides)
+    if (over.get("traffic.service") == "best_effort"
+            and over.get("traffic.deadline") is not None):
         raise SystemExit("best-effort traffic cannot carry deadlines")
-
-    builder = FaultSchedule.builder()
-    for station, when in _parse_station_times(args.kill):
-        builder.kill(station, at=when)
-    for station, when in _parse_station_times(args.leave):
-        builder.leave(station, at=when)
-    schedule = builder.build()
-
-    calls = None
-    if args.calls > 0:
-        from repro.qoe.sessions import CallsSpec
-        calls = CallsSpec(count=args.calls, arrival_rate=args.call_rate,
-                          mean_holding=args.call_holding,
-                          deadline=args.call_deadline,
-                          mos_floor=args.call_mos_floor,
-                          video_fraction=args.call_video_fraction,
-                          admission=not args.no_call_admission,
-                          join_via_rap=args.calls_via_rap)
-
-    scenario = Scenario(
-        n=args.n, l=args.l, k=args.k,
-        rap_enabled=args.rap or args.calls_via_rap,
-        use_channel=args.calls_via_rap,
-        traffic=TrafficMix(kind=args.traffic, rate=args.rate,
-                           period=args.period, service=service,
-                           deadline=args.deadline,
-                           peak_rate=args.peak_rate, mean_on=args.mean_on,
-                           mean_off=args.mean_off),
-        calls=calls,
-        mobility=(MobilitySpec(wander_radius=args.wander)
-                  if args.wander > 0 else None),
-        faults=schedule if schedule.events else None,
-        impairments=_parse_impairments(args),
-        check_invariants=args.check_invariants,
-        kernel=args.kernel or "scalar",
-        adaptive_timers=args.adaptive_timers,
-        horizon=args.horizon, seed=args.seed)
+    faults = [{"time": when, "kind": kind, "station": station}
+              for kind in ("kill", "leave")
+              for station, when in _parse_station_times(getattr(args, kind))]
+    if faults:
+        over["faults"] = faults
+    over.update(_impairment_overrides(args))
+    if args.wander:
+        over["mobility.wander_radius"] = args.wander
+    if args.calls_via_rap:
+        over.update({"rap_enabled": True, "use_channel": True,
+                     "calls.join_via_rap": True})
+    if args.calls:
+        over["calls.count"] = args.calls
+    elif args.config is None:
+        # --calls 0 adds no calls block, so the other call flags drop
+        over = {k: v for k, v in over.items() if not k.startswith("calls.")}
+    scenario = _resolve(scenario_from_dict, args, _SIMULATE_BASE, over,
+                        "scenario")
     payload = _run_observed(scenario, args.timeline, args.metrics)
     _emit(payload, args.json)
     return 0
 
 
 def _cmd_fabric(args: argparse.Namespace) -> int:
-    from repro.core.packet import ServiceClass
-    from repro.fabric import (FabricRunner, Topology, export_merged_timeline,
-                              load_topology, merged_trace_lines,
-                              save_topology)
+    from repro.fabric import (FabricRunner, export_merged_timeline,
+                              merged_trace_lines, save_topology,
+                              topology_from_dict)
 
-    if args.config is not None:
-        topo = load_topology(args.config)
-    else:
-        service = {"premium": ServiceClass.PREMIUM,
-                   "assured": ServiceClass.ASSURED,
-                   "be": ServiceClass.BEST_EFFORT}[args.flow_service]
-        try:
-            topo = Topology(
-                rings=args.rings, ring_size=args.ring_size,
-                layout=args.layout, gateway_placement=args.placement,
-                cross_flows=args.flows, flow_kind=args.flow_kind,
-                flow_rate=args.flow_rate, flow_period=args.flow_period,
-                flow_service=service, flow_deadline=args.deadline,
-                min_ring_hops=args.min_hops,
-                gateway_buffer=args.gateway_buffer, frame_ttl=args.ttl,
-                sync_window=args.sync_window,
-                horizon=args.horizon, seed=args.seed)
-        except ValueError as exc:
-            raise SystemExit(f"bad topology: {exc}")
+    topo = _resolve(topology_from_dict, args, {}, args.overrides, "topology")
     if args.save is not None:
         save_topology(topo, args.save)
         print(f"wrote {args.save}")
@@ -511,8 +499,7 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
 
     def execute(mode):
         with FabricRunner(topo, mode=mode, trace=trace,
-                          observe=args.metrics,
-                          kernel=args.kernel) as runner:
+                          observe=args.metrics) as runner:
             runner.run()
             return runner.result(include_trace=trace)
 
@@ -580,22 +567,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import hashlib
 
     from repro.campaign import (CampaignRunner, ProgressPrinter, ResultStore,
-                                Sweep, campaign_table, default_columns,
+                                campaign_table, default_columns,
                                 sweep_from_dict)
-    from repro.scenarios import Scenario, TrafficMix
+    from repro.config_io import UnknownKeyError
 
-    if args.config is not None:
-        from pathlib import Path
-        sweep = sweep_from_dict(json.loads(Path(args.config).read_text()))
-    else:
-        axes = _parse_axes(args.axis)
-        if not axes:
-            raise SystemExit("give at least one --axis (or --config)")
-        base = Scenario(n=args.n, l=args.l, k=args.k, horizon=args.horizon,
-                        seed=args.seed,
-                        traffic=TrafficMix(kind=args.traffic, rate=args.rate,
-                                           period=args.period))
-        sweep = Sweep(base=base, axes=axes, mode=args.mode, seed=args.seed)
+    over = dict(args.overrides)
+    if args.axis:
+        over["axes"] = _parse_axes(args.axis)
+    if args.config is None and "axes" not in over:
+        raise SystemExit("give at least one --axis (or --config)")
+    if "seed" in over:
+        over["base.seed"] = over["seed"]    # the master seed seeds the base
+    sweep = _resolve(sweep_from_dict, args, {}, over, "sweep")
 
     name = sweep.name or "sweep-" + hashlib.sha256(
         sweep.spec_hash_material().encode()).hexdigest()[:8]
@@ -611,7 +594,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     runner = CampaignRunner(sweep, store, workers=args.workers,
                             timeout=args.timeout, retries=args.retries,
                             progress=progress, profiler=Profiler())
-    result = runner.run()
+    try:
+        result = runner.run()
+    except UnknownKeyError as exc:     # a misspelt axis: nothing has run
+        raise SystemExit(f"bad sweep: {exc}")
 
     if args.json:
         print(json.dumps(result.records, indent=2, default=str))

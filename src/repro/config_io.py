@@ -1,164 +1,158 @@
-"""Scenario (de)serialization: JSON-friendly dicts <-> Scenario objects.
+"""Config (de)serialization: dataclasses <-> JSON-friendly dicts.
 
 Lets complete experiments be described as config files and run with
 ``python -m repro simulate --config scenario.json`` — the usual workflow of
 simulation studies (parameter files under version control, results
 regenerable from them).
+
+One codec serves every config dataclass (``Scenario``, ``Topology``,
+``Sweep`` and all they nest): it walks ``dataclasses.fields`` and their type
+hints, writing keys in field order, so a new field needs no edit here.
+:func:`option` declares the shape rules that keep older dicts unchanged.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import functools
 import json
+import typing
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.core.packet import ServiceClass
-from repro.core.quotas import QuotaConfig
-from repro.faults import FaultEvent, FaultSchedule
-from repro.phy.geometry import Arena
-from repro.phy.impairments import ImpairmentSpec
-from repro.qoe.sessions import CallsSpec
-from repro.scenarios import MobilitySpec, Scenario, TrafficMix
+__all__ = ["option", "UnknownKeyError", "to_dict", "from_dict",
+           "scenario_to_dict", "scenario_from_dict", "load_scenario",
+           "save_scenario"]
 
-__all__ = ["scenario_to_dict", "scenario_from_dict",
-           "load_scenario", "save_scenario"]
-
-_SERVICE_NAMES = {c.name.lower(): c for c in ServiceClass}
+_MISSING = dataclasses.MISSING
 
 
-def _service_to_name(service: ServiceClass) -> str:
-    return service.name.lower()
+def option(default: Any = _MISSING, *, default_factory: Any = _MISSING,
+           omit_default: bool = False,
+           kinds: Optional[Tuple[str, ...]] = None,
+           codec: Optional[Tuple[Callable, Callable]] = None) -> Any:
+    """A dataclass field with its JSON shape rules: ``omit_default`` leaves
+    the key out while the value is the default; ``kinds`` writes it only
+    when the object's ``kind`` is one of them; ``codec`` is an ``(encode,
+    decode(value, where))`` pair for a non-generic form (None stays None)."""
+    meta: Dict[str, Any] = {"omit_default": omit_default, "kinds": kinds}
+    if codec is not None:
+        encode, decode = codec
+        meta["codec"] = (encode, lambda value, where, base: None
+                         if value is None else decode(value, where))
+    return dataclasses.field(default=default, default_factory=default_factory,
+                             metadata=meta)
 
 
-def _service_from_name(name: str) -> ServiceClass:
-    try:
-        return _SERVICE_NAMES[name.lower()]
-    except KeyError:
-        raise ValueError(f"unknown service class {name!r}; "
-                         f"known: {sorted(_SERVICE_NAMES)}") from None
+class UnknownKeyError(ValueError):
+    """A config dict holds a key its level does not declare."""
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(cls: type):
+    """``cls``'s field walk, built once: ``(encoders, decoders)``."""
+    hints = typing.get_type_hints(cls)
+    encoders, decoders = [], {}
+    for f in dataclasses.fields(cls):
+        tp, meta = hints[f.name], f.metadata
+        encode, decode = meta.get("codec", (_encode, _decoder(tp)))
+        omit = _MISSING
+        if meta.get("omit_default"):
+            omit = (f.default if f.default_factory is _MISSING
+                    else f.default_factory())
+        encoders.append((f.name, omit, meta.get("kinds"), encode))
+        decoders[f.name] = decode
+    return encoders, decoders
+
+
+def _decoder(tp: Any) -> Optional[Callable[[Any, str, Any], Any]]:
+    """How to rebuild a ``tp`` from JSON; None keeps the JSON value."""
+    args, origin = typing.get_args(tp), typing.get_origin(tp)
+    if origin is typing.Union:                       # Optional[X]
+        inner = _decoder(next(a for a in args if a is not type(None)))
+        return inner and (lambda v, where, base: None if v is None
+                          else inner(v, where, base))
+    if origin in (list, tuple):
+        inner = _decoder(args[0])
+        return inner and (lambda v, where, base: origin(
+            inner(item, where, None) for item in v))
+    if dataclasses.is_dataclass(tp):
+        return lambda v, where, base: from_dict(tp, v, where, base)
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        return lambda v, where, base: _enum(tp, v, where)
+    return None
+
+
+def _enum(tp: Any, name: str, where: str) -> Any:
+    if name.upper() not in tp.__members__:
+        raise ValueError(f"unknown {where} {name!r}; known: "
+                         f"{sorted(m.lower() for m in tp.__members__)}")
+    return tp[name.upper()]
+
+
+def _encode(value: Any) -> Any:
+    if value is None or type(value) in (int, float, str, bool):   # fast path
+        return value
+    if dataclasses.is_dataclass(value):
+        return to_dict(value)
+    if isinstance(value, enum.Enum):
+        return value.name.lower()
+    if isinstance(value, (list, tuple)):
+        return [_encode(item) for item in value]
+    return value
 
 
 # ----------------------------------------------------------------------
-def scenario_to_dict(scenario: Scenario) -> Dict[str, Any]:
-    """A JSON-serializable description of ``scenario``."""
-    out: Dict[str, Any] = {
-        "n": scenario.n,
-        "placement": scenario.placement,
-        "radius": scenario.radius,
-        "range_margin": scenario.range_margin,
-        "arena": {"width": scenario.arena.width,
-                  "height": scenario.arena.height},
-        "l": scenario.l,
-        "k": scenario.k,
-        "rap_enabled": scenario.rap_enabled,
-        "t_ear": scenario.t_ear,
-        "t_update": scenario.t_update,
-        "use_channel": scenario.use_channel,
-        "validate_phy": scenario.validate_phy,
-        "check_invariants": scenario.check_invariants,
-        "horizon": scenario.horizon,
-        "seed": scenario.seed,
-        "traffic": {
-            "kind": scenario.traffic.kind,
-            "rate": scenario.traffic.rate,
-            "period": scenario.traffic.period,
-            "service": _service_to_name(scenario.traffic.service),
-            "deadline": scenario.traffic.deadline,
-            "neighbours_only": scenario.traffic.neighbours_only,
-        },
-    }
-    if scenario.traffic.kind in ("onoff", "voice"):
-        # the talkspurt-shape keys matter only to these kinds; emitted
-        # conditionally so every other config keeps its historical shape
-        out["traffic"].update(peak_rate=scenario.traffic.peak_rate,
-                              mean_on=scenario.traffic.mean_on,
-                              mean_off=scenario.traffic.mean_off)
-    if scenario.traffic.kind == "prefill":
-        out["traffic"]["burst"] = scenario.traffic.burst
-    if scenario.kernel != "scalar":
-        # emitted only when non-default so existing configs, corpus bundles
-        # and campaign-store keys keep their exact historical shape
-        out["kernel"] = scenario.kernel
-    if scenario.adaptive_timers:
-        out["adaptive_timers"] = True
-    if scenario.calls is not None:
-        out["calls"] = scenario.calls.to_dict()
-    if scenario.quotas is not None:
-        out["quotas"] = {str(sid): [q.l, q.k1, q.k2]
-                         for sid, q in scenario.quotas.items()}
-    if scenario.mobility is not None:
-        out["mobility"] = {
-            "wander_radius": scenario.mobility.wander_radius,
-            "speed": scenario.mobility.speed,
-            "update_every": scenario.mobility.update_every,
-        }
-    if scenario.faults is not None:
-        out["faults"] = [
-            {"time": e.time, "kind": e.kind, "station": e.station,
-             **({"params": e.params} if e.params else {})}
-            for e in scenario.faults.events]
-    if scenario.impairments is not None:
-        out["impairments"] = scenario.impairments.to_dict()
+def to_dict(obj: Any) -> Dict[str, Any]:
+    """The JSON form of dataclass ``obj``: its fields in declaration order,
+    minus those a shape rule leaves out."""
+    out: Dict[str, Any] = {}
+    for name, omit, kinds, encode in _plan(type(obj))[0]:
+        value = getattr(obj, name)
+        if not ((omit is not _MISSING and value == omit)
+                or (kinds is not None and obj.kind not in kinds)):
+            out[name] = encode(value)
     return out
 
 
-def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
-    """Build a Scenario from the dict shape :func:`scenario_to_dict` emits."""
-    data = dict(data)
-    kwargs: Dict[str, Any] = {}
-    for key in ("n", "placement", "radius", "range_margin", "l", "k",
-                "rap_enabled", "t_ear", "t_update", "use_channel",
-                "validate_phy", "check_invariants", "horizon", "seed",
-                "kernel", "adaptive_timers"):
-        if key in data:
-            kwargs[key] = data[key]
-
-    if "arena" in data:
-        kwargs["arena"] = Arena(**data["arena"])
-
-    if "traffic" in data:
-        traffic = dict(data["traffic"])
-        if "service" in traffic:
-            traffic["service"] = _service_from_name(traffic["service"])
-        kwargs["traffic"] = TrafficMix(**traffic)
-
-    if "quotas" in data and data["quotas"] is not None:
-        kwargs["quotas"] = {
-            int(sid): QuotaConfig(l=vals[0], k1=vals[1], k2=vals[2])
-            for sid, vals in data["quotas"].items()}
-
-    if "mobility" in data and data["mobility"] is not None:
-        kwargs["mobility"] = MobilitySpec(**data["mobility"])
-
-    if "faults" in data and data["faults"]:
-        events = []
-        for entry in data["faults"]:
-            events.append(FaultEvent(time=entry["time"], kind=entry["kind"],
-                                     station=entry.get("station"),
-                                     params=entry.get("params", {})))
-        kwargs["faults"] = FaultSchedule(events)
-
-    if "impairments" in data and data["impairments"] is not None:
-        kwargs["impairments"] = ImpairmentSpec.from_dict(data["impairments"])
-
-    if "calls" in data and data["calls"] is not None:
-        kwargs["calls"] = CallsSpec.from_dict(data["calls"])
-
-    unknown = set(data) - {"n", "placement", "radius", "range_margin",
-                           "arena", "l", "k", "rap_enabled", "t_ear",
-                           "t_update", "use_channel", "validate_phy",
-                           "check_invariants", "horizon", "seed", "kernel",
-                           "adaptive_timers", "traffic", "quotas", "mobility",
-                           "faults", "impairments", "calls"}
-    if unknown:
-        raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-    return Scenario(**kwargs)
+def from_dict(cls: type, data: Dict[str, Any], where: str = "",
+              base: Any = None) -> Any:
+    """Build ``cls`` from the dict :func:`to_dict` writes.  A missing key
+    keeps its value in ``base`` (without one, the declared default),
+    recursively; an unknown key raises :class:`UnknownKeyError` naming its
+    level ``where``, the dotted path of ``data``."""
+    decoders = _plan(cls)[1]
+    if not isinstance(data, dict):
+        raise ValueError(f"{where or cls.__name__} must be an object, "
+                         f"got {data!r}")
+    if not decoders.keys() >= data.keys():
+        raise UnknownKeyError(f"unknown {where or cls.__name__.lower()} keys: "
+                              f"{sorted(data.keys() - decoders.keys())}")
+    kwargs = {}
+    for key, value in data.items():
+        decode = decoders[key]
+        if decode is None:
+            kwargs[key] = value
+            continue
+        kwargs[key] = decode(value, f"{where}.{key}" if where else key,
+                             getattr(base, key, None))
+    return cls(**kwargs) if base is None else dataclasses.replace(base, **kwargs)
 
 
 # ----------------------------------------------------------------------
-def save_scenario(scenario: Scenario, path) -> None:
+scenario_to_dict = to_dict
+
+
+def scenario_from_dict(data: Dict[str, Any]) -> Any:
+    """Build a Scenario from the dict shape :func:`scenario_to_dict` emits."""
+    from repro.scenarios import Scenario
+    return from_dict(Scenario, data)
+
+
+def save_scenario(scenario: Any, path) -> None:
     Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2))
 
 
-def load_scenario(path) -> Scenario:
+def load_scenario(path) -> Any:
     return scenario_from_dict(json.loads(Path(path).read_text()))

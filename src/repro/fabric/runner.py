@@ -187,23 +187,19 @@ class FabricRunner:
     """
 
     def __init__(self, topology: Topology, mode: str = "serial",
-                 trace: bool = True, observe: bool = False,
-                 kernel: str = "scalar"):
+                 trace: bool = True, observe: bool = False):
         if mode not in ("serial", "sharded"):
             raise ValueError(f"unknown fabric mode {mode!r}")
-        if kernel not in ("scalar", "batched"):
-            raise ValueError(f"unknown kernel {kernel!r}")
         self.topology = topology
         self.mode = mode
         self.trace = trace
         self.observe = observe
-        self.kernel = kernel
         self.clock = 0.0
         self._closed = False
         if mode == "serial":
             from repro.fabric.shard import RingShard
             self._shards = [RingShard(topology, ring, trace=trace,
-                                      observe=observe, kernel=kernel)
+                                      observe=observe)
                             for ring in range(topology.rings)]
             bounds = [s.sat_bound() for s in self._shards]
         else:
@@ -217,7 +213,7 @@ class FabricRunner:
                 parent, child = ctx.Pipe(duplex=True)
                 proc = ctx.Process(target=_shard_entry,
                                    args=(child, ring, topo_dict,
-                                         trace, observe, kernel))
+                                         trace, observe))
                 proc.start()
                 child.close()
                 self._procs.append(proc)

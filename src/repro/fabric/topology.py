@@ -22,9 +22,12 @@ sub-dict, so campaign sweeps address fabric axes as ``topology.rings``,
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.config_io import UnknownKeyError, from_dict, option, to_dict
 from repro.core.packet import ServiceClass
 from repro.scenarios import Scenario, TrafficMix
 from repro.sim.rng import RandomStreams
@@ -32,8 +35,6 @@ from repro.sim.rng import RandomStreams
 __all__ = ["GatewayLink", "CrossFlow", "Topology",
            "topology_to_dict", "topology_from_dict",
            "load_topology", "save_topology"]
-
-_SERVICE_NAMES = {c.name.lower(): c for c in ServiceClass}
 
 
 @dataclass(frozen=True)
@@ -103,19 +104,13 @@ class CrossFlow:
 
 @dataclass
 class Topology:
-    """A fabric of gateway-bridged WRT-Rings."""
+    """A fabric of gateway-bridged WRT-Rings (fields in the key order of
+    :func:`topology_to_dict`)."""
 
     rings: int = 4
     ring_size: int = 8
     layout: str = "chain"              # "chain" | "cycle" | "star"
     gateway_placement: str = "spread"  # "first" | "spread"
-    #: explicit bridge list; None derives one from ``layout``
-    links: Optional[List[GatewayLink]] = None
-    #: per-ring scenario template (its ``n`` and ``seed`` are overridden)
-    base: Scenario = field(default_factory=lambda: Scenario(
-        traffic=TrafficMix(kind="none")))
-    #: explicit cross-ring flows; None generates ``cross_flows`` random ones
-    flows: Optional[List[CrossFlow]] = None
     cross_flows: int = 4
     flow_kind: str = "cbr"
     flow_rate: float = 0.02
@@ -131,6 +126,18 @@ class Topology:
     frame_ttl: Optional[float] = None
     #: barrier spacing in slots; None = conservative SAT-rotation lookahead
     sync_window: Optional[float] = None
+    #: explicit bridge list, written as ``[ring_a, station_a, ring_b,
+    #: station_b]`` rows; None derives one from ``layout``
+    links: Optional[List[GatewayLink]] = option(
+        None, omit_default=True, codec=(
+            lambda links: [[l.ring_a, l.station_a, l.ring_b, l.station_b]
+                           for l in links],
+            lambda rows, where: [GatewayLink(*row) for row in rows]))
+    #: explicit cross-ring flows; None generates ``cross_flows`` random ones
+    flows: Optional[List[CrossFlow]] = option(None, omit_default=True)
+    #: per-ring scenario template (its ``n`` and ``seed`` are overridden)
+    base: Scenario = field(default_factory=lambda: Scenario(
+        traffic=TrafficMix(kind="none")))
     horizon: float = 2_000.0
     seed: int = 0
 
@@ -275,94 +282,37 @@ def _route(adj: Dict[int, List[Tuple[int, GatewayLink]]], src_ring: int,
 # ----------------------------------------------------------------------
 # serialization (the ``config_io`` shape + one "topology" sub-dict)
 # ----------------------------------------------------------------------
+#: Topology fields written beside the base scenario's keys, replacing the
+#: base's own values: the fabric owns the horizon and master seed
+_FABRIC_OWNED = ("horizon", "seed")
+
+
 def topology_to_dict(topo: Topology) -> Dict[str, Any]:
     """JSON description: base-scenario fields at top level + ``topology``."""
-    from repro.config_io import scenario_to_dict
-
-    out = scenario_to_dict(topo.base)
-    # the fabric owns the horizon and master seed
-    out["horizon"] = topo.horizon
-    out["seed"] = topo.seed
-    sub: Dict[str, Any] = {
-        "rings": topo.rings,
-        "ring_size": topo.ring_size,
-        "layout": topo.layout,
-        "gateway_placement": topo.gateway_placement,
-        "cross_flows": topo.cross_flows,
-        "flow_kind": topo.flow_kind,
-        "flow_rate": topo.flow_rate,
-        "flow_period": topo.flow_period,
-        "flow_service": topo.flow_service.name.lower(),
-        "flow_deadline": topo.flow_deadline,
-        "min_ring_hops": topo.min_ring_hops,
-        "gateway_buffer": topo.gateway_buffer,
-        "frame_ttl": topo.frame_ttl,
-        "sync_window": topo.sync_window,
-    }
-    if topo.links is not None:
-        sub["links"] = [[l.ring_a, l.station_a, l.ring_b, l.station_b]
-                        for l in topo.links]
-    if topo.flows is not None:
-        sub["flows"] = [{
-            "src_ring": f.src_ring, "src_station": f.src_station,
-            "dst_ring": f.dst_ring, "dst_station": f.dst_station,
-            "kind": f.kind, "rate": f.rate, "period": f.period,
-            "service": f.service.name.lower(), "deadline": f.deadline,
-        } for f in topo.flows]
+    sub = to_dict(topo)
+    out = sub.pop("base")
+    for key in _FABRIC_OWNED:
+        out[key] = sub.pop(key)
     out["topology"] = sub
     return out
 
 
-_TOPOLOGY_KEYS = {"rings", "ring_size", "layout", "gateway_placement",
-                  "links", "flows", "cross_flows", "flow_kind", "flow_rate",
-                  "flow_period", "flow_service", "flow_deadline",
-                  "min_ring_hops", "gateway_buffer", "frame_ttl",
-                  "sync_window"}
-
-
 def topology_from_dict(data: Dict[str, Any]) -> Topology:
-    """Build a Topology from the dict shape :func:`topology_to_dict` emits."""
-    from repro.config_io import scenario_from_dict
-
+    """Build a Topology from the dict shape :func:`topology_to_dict` emits.
+    Keys left out keep the declared defaults, the base's included."""
     data = dict(data)
-    sub = dict(data.pop("topology", None) or {})
-    unknown = set(sub) - _TOPOLOGY_KEYS
-    if unknown:
-        raise ValueError(f"unknown topology keys: {sorted(unknown)}")
-    base = scenario_from_dict(data)
-    kwargs: Dict[str, Any] = {"base": base,
-                              "horizon": base.horizon, "seed": base.seed}
-    for key in ("rings", "ring_size", "layout", "gateway_placement",
-                "cross_flows", "flow_kind", "flow_rate", "flow_period",
-                "flow_deadline", "min_ring_hops", "gateway_buffer",
-                "frame_ttl", "sync_window"):
-        if key in sub:
-            kwargs[key] = sub[key]
-    if "flow_service" in sub:
-        kwargs["flow_service"] = _SERVICE_NAMES[sub["flow_service"].lower()]
-    if sub.get("links") is not None:
-        kwargs["links"] = [GatewayLink(a, sa, b, sb)
-                           for a, sa, b, sb in sub["links"]]
-    if sub.get("flows") is not None:
-        flows = []
-        for entry in sub["flows"]:
-            entry = dict(entry)
-            if "service" in entry:
-                entry["service"] = _SERVICE_NAMES[entry["service"].lower()]
-            flows.append(CrossFlow(**entry))
-        kwargs["flows"] = flows
-    return Topology(**kwargs)
+    sub = data.pop("topology", None) or {}
+    misplaced = {"base", *_FABRIC_OWNED} & set(sub)
+    if misplaced:
+        raise UnknownKeyError(f"unknown topology keys: {sorted(misplaced)}")
+    owned = {key: data[key] for key in _FABRIC_OWNED if key in data}
+    topo = from_dict(Topology, {**sub, **owned}, "topology")
+    return replace(topo, base=from_dict(Scenario, data, base=topo.base))
 
 
 def save_topology(topo: Topology, path) -> None:
-    import json
-    from pathlib import Path
-
     Path(path).write_text(json.dumps(topology_to_dict(topo), indent=2))
 
 
 def load_topology(path) -> Topology:
-    import json
-    from pathlib import Path
-
     return topology_from_dict(json.loads(Path(path).read_text()))

@@ -9,8 +9,10 @@ engine events, and keep an execution log for the harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional
+
+from repro.config_io import option
 
 __all__ = ["FaultEvent", "FaultSchedule"]
 
@@ -43,7 +45,7 @@ class FaultEvent:
     time: float
     kind: str
     station: Optional[int] = None
-    params: dict = field(default_factory=dict)
+    params: dict = option(default_factory=dict, omit_default=True)
 
     def __post_init__(self) -> None:
         if self.time < 0:

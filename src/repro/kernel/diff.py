@@ -141,22 +141,14 @@ def diff_scenario(scenario: Scenario, label: str = "scenario") -> KernelDiff:
 def diff_fuzz_case(case, label: str = "case") -> KernelDiff:
     """Replay a fuzz case (drive chunks, probes, oracles) under both kernels
     and diff the full result records (minus ``events_executed``)."""
-    from repro.fuzz.generate import FuzzCase
     from repro.fuzz.runner import run_case
 
-    def with_kernel(kernel: str) -> FuzzCase:
-        data = case.to_dict()
-        scenario = dict(data["scenario"])
-        if kernel == "scalar":
-            scenario.pop("kernel", None)
-        else:
-            scenario["kernel"] = kernel
-        return FuzzCase(seed=data["seed"], index=data["index"],
-                        scenario=scenario, drive=list(data["drive"]))
+    def run(kernel: str) -> Dict[str, Any]:
+        variant = replace(case, scenario=dict(case.scenario, kernel=kernel))
+        return _strip_events_executed(run_case(variant).to_record())
 
     diff = KernelDiff(label)
-    record_s = _strip_events_executed(run_case(with_kernel("scalar")).to_record())
-    record_b = _strip_events_executed(run_case(with_kernel("batched")).to_record())
+    record_s, record_b = run("scalar"), run("batched")
     if _canonical(record_s) != _canonical(record_b):
         for key in sorted(set(record_s) | set(record_b)):
             left = _canonical(record_s.get(key))

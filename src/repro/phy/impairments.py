@@ -47,6 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+from repro.config_io import option
+
 __all__ = ["NoiseBurst", "ImpairmentSpec", "ChannelImpairments"]
 
 _GOOD, _BAD = 0, 1
@@ -58,7 +60,7 @@ class NoiseBurst:
 
     start: float
     end: float
-    code: Optional[int] = None
+    code: Optional[int] = option(None, omit_default=True)
 
     def __post_init__(self) -> None:
         if self.end <= self.start:
@@ -70,23 +72,18 @@ class NoiseBurst:
             return False
         return self.code is None or self.code == code
 
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"start": self.start, "end": self.end}
-        if self.code is not None:
-            out["code"] = self.code
-        return out
-
 
 @dataclass(frozen=True)
 class ImpairmentSpec:
-    """Loss-process parameters; the all-defaults spec is a perfect channel."""
+    """Loss-process parameters; the all-defaults spec is a perfect channel
+    (written as ``{}``: only fields off their default are kept)."""
 
-    loss_prob: float = 0.0      #: independent per-frame loss probability
-    ge_p_gb: float = 0.0        #: Gilbert-Elliott P(good -> bad) per slot
-    ge_p_bg: float = 0.0        #: Gilbert-Elliott P(bad -> good) per slot
-    ge_loss_good: float = 0.0   #: frame-loss probability in the GOOD state
-    ge_loss_bad: float = 1.0    #: frame-loss probability in the BAD state
-    bursts: Tuple[NoiseBurst, ...] = ()
+    loss_prob: float = option(0.0, omit_default=True)     #: independent per-frame loss probability
+    ge_p_gb: float = option(0.0, omit_default=True)       #: Gilbert-Elliott P(good -> bad) per slot
+    ge_p_bg: float = option(0.0, omit_default=True)       #: Gilbert-Elliott P(bad -> good) per slot
+    ge_loss_good: float = option(0.0, omit_default=True)  #: loss probability in the GOOD state
+    ge_loss_bad: float = option(1.0, omit_default=True)   #: loss probability in the BAD state
+    bursts: Tuple[NoiseBurst, ...] = option((), omit_default=True)
 
     def __post_init__(self) -> None:
         for name in ("loss_prob", "ge_p_gb", "ge_p_bg",
@@ -110,36 +107,6 @@ class ImpairmentSpec:
                 or (self.ge_enabled and (self.ge_loss_bad > 0.0
                                          or self.ge_loss_good > 0.0))
                 or bool(self.bursts))
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Compact dict (non-default fields only); JSON-safe."""
-        out: Dict[str, Any] = {}
-        if self.loss_prob:
-            out["loss_prob"] = self.loss_prob
-        if self.ge_p_gb:
-            out["ge_p_gb"] = self.ge_p_gb
-        if self.ge_p_bg:
-            out["ge_p_bg"] = self.ge_p_bg
-        if self.ge_loss_good:
-            out["ge_loss_good"] = self.ge_loss_good
-        if self.ge_loss_bad != 1.0:
-            out["ge_loss_bad"] = self.ge_loss_bad
-        if self.bursts:
-            out["bursts"] = [b.to_dict() for b in self.bursts]
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ImpairmentSpec":
-        known = {"loss_prob", "ge_p_gb", "ge_p_bg", "ge_loss_good",
-                 "ge_loss_bad", "bursts"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown impairment keys: {sorted(unknown)}")
-        kwargs: Dict[str, Any] = {k: v for k, v in data.items()
-                                  if k != "bursts"}
-        if data.get("bursts"):
-            kwargs["bursts"] = tuple(NoiseBurst(**b) for b in data["bursts"])
-        return cls(**kwargs)
 
 
 class _LinkState:

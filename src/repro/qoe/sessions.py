@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.bounds import access_delay_bound, sat_rotation_bound
+from repro.config_io import option
 from repro.core.packet import ServiceClass
 from repro.core.quotas import QuotaConfig
 from repro.events.types import (CallCut, CallEnded, CallRefused, CallStarted,
@@ -64,18 +65,18 @@ class CallsSpec:
     """Declarative description of a call-arrival workload."""
 
     count: int = 10                 # calls offered over the run
-    arrival_rate: float = 0.005     # calls/slot (Poisson)
-    mean_holding: float = 2000.0    # exponential holding time, slots
-    packet_period: float = 20.0     # slots between packets at peak (G.711)
-    mean_talkspurt: float = 350.0   # mean ON duration, slots
-    mean_silence: float = 650.0     # mean OFF duration, slots
-    deadline: float = 150.0         # per-packet delivery deadline, slots
-    service: str = "premium"
-    mos_floor: float = DEFAULT_MOS_FLOOR
-    slot_ms: float = 1.0            # slot -> ms for the E-model delay term
-    video_fraction: float = 0.0     # fraction of sessions that are video
-    admission: bool = True          # run call-level CAC
-    join_via_rap: bool = False      # callers join the ring through RAP
+    arrival_rate: float = option(0.005, omit_default=True)    # calls/slot (Poisson)
+    mean_holding: float = option(2000.0, omit_default=True)   # exponential holding time, slots
+    packet_period: float = option(20.0, omit_default=True)    # peak packet spacing (G.711), slots
+    mean_talkspurt: float = option(350.0, omit_default=True)  # mean ON duration, slots
+    mean_silence: float = option(650.0, omit_default=True)    # mean OFF duration, slots
+    deadline: float = option(150.0, omit_default=True)        # per-packet delivery deadline, slots
+    service: str = option("premium", omit_default=True)
+    mos_floor: float = option(DEFAULT_MOS_FLOOR, omit_default=True)
+    slot_ms: float = option(1.0, omit_default=True)           # slot -> ms, E-model delay term
+    video_fraction: float = option(0.0, omit_default=True)    # fraction of sessions that are video
+    admission: bool = option(True, omit_default=True)         # run call-level CAC
+    join_via_rap: bool = option(False, omit_default=True)     # callers join the ring through RAP
 
     def __post_init__(self) -> None:
         if self.count < 1:
@@ -109,27 +110,6 @@ class CallsSpec:
     @property
     def service_class(self) -> ServiceClass:
         return _SERVICES[self.service]
-
-    # -- (de)serialization: non-default keys only, so configs stay tidy --
-    def to_dict(self) -> Dict[str, Any]:
-        defaults = CallsSpec()
-        out: Dict[str, Any] = {"count": self.count}
-        for key in ("arrival_rate", "mean_holding", "packet_period",
-                    "mean_talkspurt", "mean_silence", "deadline", "service",
-                    "mos_floor", "slot_ms", "video_fraction", "admission",
-                    "join_via_rap"):
-            value = getattr(self, key)
-            if value != getattr(defaults, key):
-                out[key] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CallsSpec":
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown calls keys: {sorted(unknown)}")
-        return cls(**data)
 
 
 # ----------------------------------------------------------------------

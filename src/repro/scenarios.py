@@ -19,18 +19,19 @@ machinery exactly as a real fading link would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.analysis.bounds import sat_rotation_bound
 from repro.analysis.metrics import jain_fairness
+from repro.config_io import from_dict, option, to_dict
 from repro.core.config import WRTRingConfig
 from repro.core.invariants import RingInvariantChecker
 from repro.core.packet import ServiceClass
 from repro.core.quotas import QuotaConfig
 from repro.core.ring import WRTRingNetwork
-from repro.faults import FaultSchedule
+from repro.faults import FaultEvent, FaultSchedule
 from repro.phy.channel import SlottedChannel
 from repro.phy.impairments import ChannelImpairments, ImpairmentSpec
 from repro.phy.geometry import Arena, ring_placement, uniform_placement
@@ -73,11 +74,11 @@ class TrafficMix:
     neighbours_only: bool = False
     #: on/off talkspurt shape (kinds "onoff" and "voice"); the defaults are
     #: the G.711 voice model in slots (see docs/QOE.md)
-    peak_rate: float = 0.05
-    mean_on: float = 350.0
-    mean_off: float = 650.0
+    peak_rate: float = option(0.05, kinds=("onoff", "voice"))
+    mean_on: float = option(350.0, kinds=("onoff", "voice"))
+    mean_off: float = option(650.0, kinds=("onoff", "voice"))
     #: slot-0 burst depth per flow (kind "prefill" only)
-    burst: int = 0
+    burst: int = option(0, kinds=("prefill",))
 
     def __post_init__(self) -> None:
         if self.kind not in ("cbr", "poisson", "video", "backlog",
@@ -105,7 +106,8 @@ class MobilitySpec:
 
 @dataclass
 class Scenario:
-    """A complete experiment description."""
+    """A complete experiment description (fields in the key order of its
+    JSON form, :func:`repro.config_io.scenario_to_dict`)."""
 
     n: int = 8
     placement: str = "circle"          # "circle" | "uniform"
@@ -114,35 +116,49 @@ class Scenario:
     #: (two hops) stay in range, the paper's recoverable geometry; lower
     #: values exercise the ring-lost escalation path.
     range_margin: float = 2.2
-    arena: Arena = field(default_factory=lambda: Arena(100.0, 100.0))
+    arena: Arena = field(default_factory=Arena)
     l: int = 2
     k: int = 1
-    quotas: Optional[Dict[int, QuotaConfig]] = None
     rap_enabled: bool = False
     t_ear: int = 6
     t_update: int = 3
     use_channel: bool = False
     validate_phy: bool = False
-    traffic: TrafficMix = field(default_factory=TrafficMix)
-    #: voice/multimedia call workload (see repro.qoe.sessions.CallsSpec);
-    #: None = no session layer
-    calls: Optional["CallsSpec"] = None
-    mobility: Optional[MobilitySpec] = None
-    faults: Optional[FaultSchedule] = None
-    #: stochastic frame loss (None or an all-defaults spec = clean channel)
-    impairments: Optional[ImpairmentSpec] = None
     check_invariants: bool = False
     horizon: float = 10_000.0
     seed: int = 0
+    traffic: TrafficMix = field(default_factory=TrafficMix)
     #: tick driver: "scalar" (reference, one agenda event per slot) or
     #: "batched" (repro.kernel: inline slot batching + analytic fast-forward,
     #: byte-identical outputs enforced by the kernel-parity harness)
-    kernel: str = "scalar"
+    kernel: str = option("scalar", omit_default=True)
     #: opt-in RFC 6298 SAT timers (repro.core.adaptive): per-station
     #: SRTT/RTTVAR estimation over observed rotations with a Theorem-1
     #: ceiling, plus exponential join-retry backoff.  Off = the paper's
     #: fixed worst-case timer, byte-identical to every existing trace.
-    adaptive_timers: bool = False
+    adaptive_timers: bool = option(False, omit_default=True)
+    #: voice/multimedia call workload (see repro.qoe.sessions.CallsSpec);
+    #: None = no session layer
+    calls: Optional[CallsSpec] = option(None, omit_default=True)
+    #: per-station quotas, written ``{"sid": [l, k1, k2]}``; None = the
+    #: homogeneous ``l``/``k`` split
+    quotas: Optional[Dict[int, QuotaConfig]] = option(
+        None, omit_default=True, codec=(
+            lambda quotas: {str(sid): [q.l, q.k1, q.k2]
+                            for sid, q in quotas.items()},
+            lambda data, where: {int(sid): QuotaConfig(*q)
+                                 for sid, q in data.items()}))
+    mobility: Optional[MobilitySpec] = option(None, omit_default=True)
+    #: scripted faults, written as a list of event dicts (an empty list is
+    #: no schedule); every build attaches its own copy
+    faults: Optional[FaultSchedule] = option(
+        None, omit_default=True, codec=(
+            lambda schedule: [to_dict(event) for event in schedule.events],
+            lambda events, where: FaultSchedule([
+                from_dict(FaultEvent, event, where) for event in events])
+            if events else None))
+    #: stochastic frame loss (None or an all-defaults spec = clean channel)
+    impairments: Optional[ImpairmentSpec] = option(None, omit_default=True)
 
     def __post_init__(self) -> None:
         if self.kernel not in ("scalar", "batched"):
@@ -170,40 +186,19 @@ class ScenarioResult:
     trace: TraceRecorder
     checker: Optional[RingInvariantChecker]
     sessions: Optional[SessionManager] = None
+    #: this build's own copy of ``scenario.faults``: its applied/skipped
+    #: logs and join requesters belong to this run only
+    faults: Optional[FaultSchedule] = None
 
     def resolved_config(self) -> Dict[str, object]:
         """The resolved run configuration, echoed in every summary so a run
         is reproducible from its output alone (CLI ``--json`` and campaign
-        result records share this shape)."""
-        scn = self.scenario
-        mix = scn.traffic
-        out = {
-            "n": scn.n,
-            "l": scn.l,
-            "k": scn.k,
-            "seed": scn.seed,
-            "horizon": scn.horizon,
-            "traffic": {
-                "kind": mix.kind,
-                "rate": mix.rate,
-                "period": mix.period,
-                "service": mix.service.name.lower(),
-                "deadline": mix.deadline,
-                "neighbours_only": mix.neighbours_only,
-            },
-        }
-        if mix.kind in ("onoff", "voice"):
-            out["traffic"].update(peak_rate=mix.peak_rate,
-                                  mean_on=mix.mean_on, mean_off=mix.mean_off)
-        if mix.kind == "prefill":
-            out["traffic"]["burst"] = mix.burst
-        if scn.calls is not None:
-            out["calls"] = scn.calls.to_dict()
-        if scn.adaptive_timers:
-            # emitted only when on, so every existing summary/campaign
-            # record keeps its exact historical shape
-            out["adaptive_timers"] = True
-        return out
+        result records share this shape): a fixed key subset of the
+        scenario's JSON form, without ``kernel`` because scalar and batched
+        runs must print identical summaries."""
+        full = to_dict(self.scenario)
+        return {key: full[key] for key in ("n", "l", "k", "seed", "horizon",
+                "traffic", "calls", "adaptive_timers") if key in full}
 
     def summary(self) -> Dict[str, object]:
         net = self.network
@@ -252,9 +247,9 @@ class ScenarioResult:
         shares = [sum(net.stations[s].sent.values()) for s in net.members]
         if shares and sum(shares) > 0:
             out["fairness"] = jain_fairness(shares)
-        if self.scenario.faults is not None:
-            out["faults_applied"] = len(self.scenario.faults.applied)
-            out["faults_skipped"] = len(self.scenario.faults.skipped)
+        if self.faults is not None:
+            out["faults_applied"] = len(self.faults.applied)
+            out["faults_skipped"] = len(self.faults.skipped)
         if net.impairments is not None:
             out["impairments"] = net.impairments.summary()
         if self.checker is not None:
@@ -441,8 +436,10 @@ def build_scenario(scenario: Scenario) -> ScenarioResult:
         checker = RingInvariantChecker(net, strict=True).attach(net.events)
 
     workload = _attach_traffic(scenario, net, streams)
+    faults = None
     if scenario.faults is not None:
-        scenario.faults.attach(net)
+        faults = FaultSchedule(scenario.faults.events)
+        faults.attach(net)
 
     sessions = None
     if scenario.calls is not None:
@@ -457,7 +454,7 @@ def build_scenario(scenario: Scenario) -> ScenarioResult:
     net.start()
     return ScenarioResult(scenario=scenario, engine=engine, network=net,
                           workload=workload, mobility=mobility, trace=trace,
-                          checker=checker, sessions=sessions)
+                          checker=checker, sessions=sessions, faults=faults)
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:

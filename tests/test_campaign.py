@@ -76,6 +76,22 @@ class TestSweepExpansion:
         assert [p.scenario_dict for p in back.expand()] \
             == [p.scenario_dict for p in sweep.expand()]
 
+    @pytest.mark.parametrize("axis", ["traffic.rte", "mobility.wander",
+                                      "topology.ringz"])
+    def test_misspelt_axis_rejected_before_any_run(self, axis):
+        from repro.fabric import Topology
+        kwargs = {"topology": Topology(rings=2)} if "topology" in axis else {}
+        sweep = Sweep(base=BASE, axes={axis: [2, 3]}, **kwargs)
+        with pytest.raises(ValueError, match=axis.rsplit(".", 1)[1]):
+            sweep.expand()
+        events = []
+        runner = CampaignRunner(sweep, workers=2,
+                                progress=lambda ev, p=None, **i:
+                                events.append(ev))
+        with pytest.raises(ValueError):
+            runner.run()
+        assert events == []
+
 
 class TestSeedDerivation:
     def test_points_get_independent_derived_seeds(self):

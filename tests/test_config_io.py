@@ -56,6 +56,19 @@ class TestRoundTrip:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             scenario_from_dict({"n": 4, "warp_drive": True})
+        # every nested level rejects a typo too, and names itself
+        for data, level in [({"traffic": {"kind": "cbr", "rte": 0.1}},
+                             "traffic"),
+                            ({"mobility": {"wander": 1.0}}, "mobility"),
+                            ({"arena": {"width": 50.0, "depth": 9.0}},
+                             "arena")]:
+            with pytest.raises(ValueError, match=f"unknown {level} keys"):
+                scenario_from_dict(data)
+        from repro.fabric import topology_from_dict
+        flow = {"src_ring": 0, "src_station": 1, "dst_ring": 1,
+                "dst_station": 2, "sevice": "premium"}
+        with pytest.raises(ValueError, match="unknown topology.flows keys"):
+            topology_from_dict({"topology": {"flows": [flow]}})
 
     def test_unknown_service_rejected(self):
         with pytest.raises(ValueError):
@@ -112,3 +125,110 @@ class TestCliConfig:
         payload = json.loads(capsys.readouterr().out)
         assert payload["delivered"] > 0
         assert payload["bound_holds"]
+        # a flag given with --config overrides that key
+        rc = main(["simulate", "--config", str(path), "--n", "7", "--json"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"]["n"] == 7 and len(payload["members"]) == 7
+        assert payload["config"]["seed"] == 2    # the rest is the file's
+
+
+def _digest(dicts):
+    """sha256 over the dicts as written, key order included."""
+    import hashlib
+    text = "\n".join(json.dumps(d, separators=(",", ":")) for d in dicts)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _scenario_families():
+    import glob
+    import os
+
+    from repro.fuzz.bundle import load_bundle
+    from repro.fuzz.generate import generate_case
+    from repro.kernel.diff import seeded_grid
+
+    root = os.path.dirname(os.path.dirname(__file__))
+    corpus = sorted(glob.glob(os.path.join(root, "tests", "corpus", "*.json")))
+    return {
+        "examples": [load_scenario(os.path.join(root, "examples",
+                                                "conference_call.json"))],
+        "corpus": [scenario_from_dict(load_bundle(p)["case"]["scenario"])
+                   for p in corpus],
+        "generated": [scenario_from_dict(generate_case(1, i).scenario)
+                      for i in range(50)],
+        "grid": seeded_grid(),
+    }
+
+
+def _topologies():
+    import os
+
+    from repro.fabric import CrossFlow, GatewayLink, Topology, load_topology
+
+    root = os.path.dirname(os.path.dirname(__file__))
+    return [
+        load_topology(os.path.join(root, "examples",
+                                   "conference_building.json")),
+        Topology(),
+        Topology(rings=3,
+                 links=[GatewayLink(0, 1, 1, 2), GatewayLink(1, 0, 2, 3)],
+                 flows=[CrossFlow(0, 1, 2, 3, kind="poisson", rate=0.05,
+                                  service=ServiceClass.ASSURED,
+                                  deadline=90.0),
+                        CrossFlow(2, 0, 0, 4)]),
+        Topology(rings=2, ring_size=6,
+                 base=Scenario(kernel="batched", adaptive_timers=True),
+                 flow_service=ServiceClass.BEST_EFFORT, frame_ttl=40.0,
+                 sync_window=12.0),
+    ]
+
+
+class TestPinnedShapes:
+    """The dict shapes the config codec writes, pinned per input family.
+
+    Config files, corpus bundles, ``--json`` config echoes and the
+    campaign-store cache keys (canonical JSON of these dicts) all depend on
+    them, so a codec change must reproduce them byte for byte.
+    """
+
+    SCENARIO = {
+        "examples": "5484e76f4b48e39ce8b5d6a3d61937f5"
+                    "ef8fda47641a2c3ad38815602326c4cc",
+        "corpus": "4db3c8980e988bc4802bd70f466d36b9"
+                  "10e0bfd3a8013b4ee292af2e8eca07cc",
+        "generated": "aa39beb04a99f7374af832f9c14c9a6b"
+                     "f16ae77080d028fa9ba5d7faaa364e3a",
+        "grid": "65233e8f1c4b4b839e950e8e614bbd39"
+                "997b1d3247510b807c5b6c1f79af32cb",
+    }
+    RESOLVED = {
+        "examples": "baf4b67b1707267856be4160475e389c"
+                    "a9c42e57868978bd7fd23f86eb217436",
+        "corpus": "6de66ffa600cbb1a91766e6ece38c2a1"
+                  "96ddb4080dadbd1001213ea15f9f256b",
+        "generated": "92b5dff50840137cd84f6b90288a8d60"
+                     "9227110877c7087293f094440ddeb90e",
+        "grid": "819f4c920e51dc9f2f780f371e184334"
+                "996476956c3f79bae327715fa5c0b8f7",
+    }
+    TOPOLOGY = ("3faf78f711b89ad3427b5fcef4df158f"
+                "528b6162eab8f5d16b538d2524b3b0bc")
+
+    @pytest.mark.parametrize("family", sorted(SCENARIO))
+    def test_scenario_dicts(self, family):
+        scenarios = _scenario_families()[family]
+        assert _digest(scenario_to_dict(s) for s in scenarios) == \
+            self.SCENARIO[family]
+
+    @pytest.mark.parametrize("family", sorted(RESOLVED))
+    def test_resolved_config(self, family):
+        from repro.scenarios import build_scenario
+        scenarios = _scenario_families()[family]
+        assert _digest(build_scenario(s).resolved_config()
+                       for s in scenarios) == self.RESOLVED[family]
+
+    def test_topology_dicts(self):
+        from repro.fabric import topology_to_dict
+        assert _digest(topology_to_dict(t) for t in _topologies()) == \
+            self.TOPOLOGY

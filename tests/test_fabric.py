@@ -7,6 +7,7 @@ gateway buffers drained in canonical order at absolute barrier ticks.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,10 @@ def small_topology(**kwargs) -> Topology:
                     horizon=600.0, seed=7)
     defaults.update(kwargs)
     return Topology(**defaults)
+
+
+def with_kernel(topo: Topology, kernel: str) -> Topology:
+    return replace(topo, base=replace(topo.base, kernel=kernel))
 
 
 def run_fabric(topo, mode="serial", segments=None, **kwargs):
@@ -122,6 +127,18 @@ class TestTopology:
         path = tmp_path / "topo.json"
         save_topology(topo, path)
         assert topology_to_dict(load_topology(path)) == topology_to_dict(topo)
+
+    def test_minimal_dict_keeps_declared_defaults(self):
+        # no local traffic and a 2,000-slot horizon, as Topology() declares
+        assert topology_from_dict({"topology": {}}) == Topology()
+        assert topology_from_dict({}) == Topology()
+        # a fabric sweep over a minimal dict resolves the same way
+        from repro.campaign import Sweep
+        point = Sweep(topology={"topology": {}},
+                      points=[{"topology.rings": 2}]).expand()[0]
+        topo = topology_from_dict(point.scenario_dict)
+        assert topo.base.traffic.kind == "none"
+        assert topo.horizon == Topology().horizon
 
     def test_unknown_topology_key_rejected(self):
         data = topology_to_dict(small_topology())
@@ -327,10 +344,13 @@ class TestTraceOffShards:
 
     @pytest.mark.parametrize("kernel", ["scalar", "batched"])
     def test_trace_on_hash_kept_and_trace_off_outcome_identical(self, kernel):
-        topo = small_topology()
-        traced = run_fabric(topo, "serial", kernel=kernel).summary()
-        plain = run_fabric(topo, "serial", kernel=kernel,
-                           trace=False).summary()
+        topo = with_kernel(small_topology(), kernel)
+        traced = run_fabric(topo, "serial")
+        plain = run_fabric(topo, "serial", trace=False)
+        # the topology's kernel is the one that ran on every ring
+        for report in traced.reports + plain.reports:
+            assert ("kernel" in report) == (kernel == "batched")
+        traced, plain = traced.summary(), plain.summary()
         assert traced["trace_hash"] == self.TRACE_HASH
         assert dict(plain, trace_hash=None) == dict(traced, trace_hash=None)
 
@@ -366,6 +386,31 @@ class TestFabricSweep:
                       axes={"topology.rings": [2]})
         with pytest.raises(ValueError):
             sweep.expand()[0].scenario()
+
+    def test_run_fabric_point_runs_the_configured_kernel(self):
+        data = topology_to_dict(Topology(rings=2, ring_size=6, cross_flows=2,
+                                         horizon=600.0, seed=5))
+        assert run_fabric_point(data)["events_executed"] == 1202
+        data["kernel"] = "batched"
+        record = run_fabric_point(data)
+        assert record["scenario"]["kernel"] == "batched"
+        assert record["events_executed"] == 30
+
+    def test_cli_runs_the_config_kernel_unless_a_flag_overrides(
+            self, tmp_path, capsys):
+        from repro.cli import main
+        data = topology_to_dict(Topology(rings=2, ring_size=6, cross_flows=2,
+                                         horizon=300.0, seed=5))
+        data["kernel"] = "batched"
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps(data))
+        events = []
+        for extra in ([], ["--kernel", "scalar"]):
+            assert main(["fabric", "--config", str(path), "--json",
+                         *extra]) == 0
+            events.append(json.loads(capsys.readouterr().out)
+                          ["events_executed"])
+        assert events[0] < events[1]
 
     def test_run_fabric_point_record_shape(self):
         record = run_fabric_point(

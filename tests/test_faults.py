@@ -111,6 +111,35 @@ class TestSchedule:
         assert len(net.records) == 1
 
 
+class TestScheduleReuse:
+    """A Scenario's schedule is a description: every build attaches its
+    own copy, so counts never leak from one run into the next."""
+
+    def test_same_scenario_run_twice_counts_once(self):
+        from repro.scenarios import Scenario, run_scenario
+        scn = Scenario(n=6, horizon=600.0, seed=3,
+                       faults=FaultSchedule.builder().kill(2, at=100)
+                       .leave(4, at=300).build())
+        first = run_scenario(scn).summary()
+        second = run_scenario(scn).summary()
+        assert first["faults_applied"] == second["faults_applied"] == 2
+        assert scn.faults.applied == []
+
+    def test_kernel_diff_sees_each_side_once(self, monkeypatch):
+        from repro.kernel import diff
+        seen = []
+        compare = diff._compare_runs
+
+        def spy(label, scalar, batched):
+            seen.append((scalar.summary()["faults_applied"],
+                         batched.summary()["faults_applied"]))
+            return compare(label, scalar, batched)
+
+        monkeypatch.setattr(diff, "_compare_runs", spy)
+        assert diff.diff_scenario(diff.seeded_grid()[6]).ok
+        assert seen == [(1, 1)]
+
+
 class TestJoinEvents:
     def test_wrt_join_event_creates_requester(self):
         import random

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.config_io import from_dict, to_dict
 from repro.core import QuotaConfig, ServiceClass
 from repro.core.config import WRTRingConfig
 from repro.core.ring import WRTRingNetwork
@@ -57,7 +58,7 @@ class TestImpairmentSpec:
     def test_defaults_are_a_perfect_channel(self):
         spec = ImpairmentSpec()
         assert not spec.enabled
-        assert spec.to_dict() == {}
+        assert to_dict(spec) == {}
 
     def test_probability_bounds_validated(self):
         for field in ("loss_prob", "ge_p_gb", "ge_p_bg",
@@ -83,12 +84,12 @@ class TestImpairmentSpec:
         spec = ImpairmentSpec(loss_prob=0.02, ge_p_gb=0.005, ge_p_bg=0.3,
                               ge_loss_bad=0.8,
                               bursts=(NoiseBurst(10.0, 60.0, code=3),))
-        again = ImpairmentSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        again = from_dict(ImpairmentSpec, json.loads(json.dumps(to_dict(spec))))
         assert again == spec
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown impairment"):
-            ImpairmentSpec.from_dict({"loss_probability": 0.1})
+            from_dict(ImpairmentSpec, {"loss_probability": 0.1}, "impairments")
 
 
 # ----------------------------------------------------------------------

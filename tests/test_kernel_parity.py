@@ -55,11 +55,18 @@ class TestFabricKernelParity:
     """Per-ring kernel choice must not change fabric-level behaviour."""
 
     def _result(self, topo, mode, kernel):
+        from dataclasses import replace
+
         from repro.fabric import FabricRunner
-        with FabricRunner(topo, mode=mode, trace=True,
-                          kernel=kernel) as runner:
+        topo = replace(topo, base=replace(topo.base, kernel=kernel))
+        with FabricRunner(topo, mode=mode, trace=True) as runner:
             runner.run()
-            return runner.result(include_trace=True)
+            result = runner.result(include_trace=True)
+        # the topology's kernel is the one every ring ran: only the batched
+        # driver reports kernel telemetry
+        for report in result.reports:
+            assert ("kernel" in report) == (kernel == "batched")
+        return result
 
     def test_serial_fabric_cross_kernel(self):
         from repro.fabric import Topology
@@ -67,6 +74,8 @@ class TestFabricKernelParity:
                         horizon=600.0, seed=5)
         scalar = self._result(topo, "serial", "scalar")
         batched = self._result(topo, "serial", "batched")
+        assert (batched.summary()["events_executed"]
+                < scalar.summary()["events_executed"])
         assert scalar.trace_hash() == batched.trace_hash()
         assert scalar.flow_table() == batched.flow_table()
         # the ring table's trailing "events" column is engine

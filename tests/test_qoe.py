@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.config_io import from_dict, to_dict
 from repro.events import EventBus
 from repro.events.types import PacketLost, SlotDeliver
 from repro.faults import FaultEvent, FaultSchedule
@@ -149,17 +150,17 @@ class TestPerceptualScorer:
 # ----------------------------------------------------------------------
 class TestCallsSpec:
     def test_to_dict_is_minimal(self):
-        assert CallsSpec(count=5).to_dict() == {"count": 5}
+        assert to_dict(CallsSpec(count=5)) == {"count": 5}
 
     def test_round_trip(self):
         spec = CallsSpec(count=12, arrival_rate=0.02, deadline=300.0,
                          video_fraction=0.25, admission=False,
                          join_via_rap=True)
-        assert CallsSpec.from_dict(spec.to_dict()) == spec
+        assert from_dict(CallsSpec, to_dict(spec)) == spec
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown calls keys"):
-            CallsSpec.from_dict({"count": 3, "frobnicate": 1})
+            from_dict(CallsSpec, {"count": 3, "frobnicate": 1}, "calls")
 
     def test_validation(self):
         with pytest.raises(ValueError):
