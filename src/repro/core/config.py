@@ -72,6 +72,9 @@ class WRTRingConfig:
             raise ValueError(f"t_update must be >= 1 slot, got {self.t_update}")
         if self.s_round < 0:
             raise ValueError(f"s_round must be >= 0, got {self.s_round}")
+        if not isinstance(self.sat_hop_slots, int):
+            raise TypeError(
+                f"sat_hop_slots must be int, got {self.sat_hop_slots!r}")
         if self.sat_hop_slots < 1:
             raise ValueError(f"sat_hop_slots must be >= 1, got {self.sat_hop_slots}")
         if self.rebuild_retry_limit < 1:

@@ -71,9 +71,8 @@ class QuotaConfig:
         slot, with ``a`` and ``b`` drawing from the shared residual ``k``
         authorization under the ``k1``/``k2`` caps.  This closed form is
         the per-station decision rule the batched kernel's saturated walk
-        evaluates instead of calling ``select_packet`` slot by slot (and
-        what :meth:`repro.core.columns.ColumnState.segment_budgets`
-        vectorizes across the ring).
+        evaluates, once per member at window start, instead of calling
+        ``select_packet`` slot by slot.
         """
         r = min(max(self.l - rt_pck, 0), rt_depth)
         nb = max(self.k - nrt_pck, 0)

@@ -46,7 +46,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.bounds import sat_rotation_bound
 from repro.analysis.netmetrics import NetworkMetrics
-from repro.core.columns import ColumnState
 from repro.core.config import WRTRingConfig
 from repro.core.diffserv import COLUMN_CLASSES
 from repro.core.packet import Packet
@@ -138,9 +137,6 @@ class WRTRingNetwork:
         self._sat_bound_cache = None
         self._sat_seq = 0
         self.rotation_log = RotationLog()
-        #: struct-of-arrays mirror of the hot-path station state; rebound on
-        #: every membership change, consumed by the batched kernel
-        self.columns = ColumnState(self)
         self._refresh_members()
 
         #: optional :class:`~repro.phy.impairments.ChannelImpairments` —
@@ -398,8 +394,7 @@ class WRTRingNetwork:
         """Rebuild the hot-path member cache after a membership change:
         the in-order station list (so the per-slot loops stop doing a dict
         lookup per station), each member's successor hint + non-successor
-        recount, the preallocated per-slot scratch buffers, and the
-        columnar binding."""
+        recount, and the preallocated per-slot scratch buffers."""
         members = [self.stations[sid] for sid in self.order]
         self._members = members
         n = len(members)
@@ -412,7 +407,6 @@ class WRTRingNetwork:
             st._nonsucc = sum(
                 1 for q in (st.rt_queue, st.as_queue, st.be_queue)
                 for p in q if p.dst != succ)
-        self.columns.bind_ring()
         # per-slot scratch, reused every tick (decision codes, occupied
         # positions + in-flight slot contents) instead of being reallocated
         self._slot_picks: List[int] = [0] * n
@@ -550,17 +544,17 @@ class WRTRingNetwork:
                 # no own traffic, so the send algorithm picks no class:
                 # only transit can fill the slot, whatever the transit
                 # priority or leave state (most stations, most slots)
-                if st.transit and st._alive:
+                if st.transit and st.alive:
                     picks[idx] = transit
                     busy(idx)
                 else:
                     picks[idx] = idle
-            elif not st._alive:
+            elif not st.alive:
                 picks[idx] = idle
             elif transit_first and st.transit:
                 picks[idx] = transit
                 busy(idx)
-            elif not st._leaving:
+            elif not st.leaving:
                 service = st._decide_class()
                 if service is not None:
                     picks[idx] = service
@@ -627,7 +621,7 @@ class WRTRingNetwork:
                     pkt.dropped = True
                     self._ev_lost(t, pkt, reason, src_sid, dst_sid)
                     continue
-            if not receiver._alive:
+            if not receiver.alive:
                 pkt.dropped = True
                 self._ev_lost(t, pkt, "dead_station", src_sid, dst_sid)
                 continue

@@ -35,14 +35,6 @@ class WRTRingStation:
 
     def __init__(self, sid: int, quota: QuotaConfig):
         self.sid = sid
-        # columnar binding: the owning ring's ColumnState and this station's
-        # row index, set by WRTRingNetwork._reindex (None/-1 while standalone
-        # or after leaving the ring).  The lifecycle setters below write
-        # through to the bound column cells; hot per-slot state stays in
-        # plain attributes (a numpy cell access costs ~12x an attribute
-        # load) and is bulk-synced at kernel batch-window boundaries.
-        self._cols = None
-        self._idx = -1
         #: ring-successor hint plus an incremental count of queued packets
         #: *not* addressed to it — the batched kernel's saturated path may
         #: only engage while every buffered packet is one hop from delivery.
@@ -50,7 +42,7 @@ class WRTRingStation:
         #: safe toward the scalar path.
         self._succ_sid: Optional[int] = None
         self._nonsucc = 0
-        self._quota = quota
+        self.quota = quota
         self.rt_queue: Deque[Packet] = deque()
         self.as_queue: Deque[Packet] = deque()
         self.be_queue: Deque[Packet] = deque()
@@ -77,50 +69,16 @@ class WRTRingStation:
         #: a signal arriving with seq <= this is a duplicate/stale replay
         #: and is discarded instead of renewing quotas
         self.last_sat_seq = -1
-        # dynamic state (shadow attributes behind the write-through
-        # properties below)
-        self._alive = True
-        self._leaving = False
-
-    # ------------------------------------------------------------------
-    # lifecycle fields: thin views over the ring's columnar state
-    # ------------------------------------------------------------------
-    @property
-    def quota(self) -> QuotaConfig:
-        return self._quota
-
-    @quota.setter
-    def quota(self, value: QuotaConfig) -> None:
-        self._quota = value
-        if self._cols is not None:
-            self._cols.set_quota(self._idx, value)
-
-    @property
-    def alive(self) -> bool:
-        return self._alive
-
-    @alive.setter
-    def alive(self, value: bool) -> None:
-        self._alive = value
-        if self._cols is not None:
-            self._cols.set_alive(self._idx, value)
-
-    @property
-    def leaving(self) -> bool:
-        return self._leaving
-
-    @leaving.setter
-    def leaving(self, value: bool) -> None:
-        self._leaving = value
-        if self._cols is not None:
-            self._cols.set_leaving(self._idx, value)
+        # dynamic state
+        self.alive = True
+        self.leaving = False
 
     # ------------------------------------------------------------------
     # queueing
     # ------------------------------------------------------------------
     def enqueue(self, packet: Packet, now: float) -> None:
         """Accept a packet from the application layer into its class queue."""
-        if not self._alive:
+        if not self.alive:
             raise RuntimeError(f"station {self.sid} is not alive")
         if packet.src != self.sid:
             raise ValueError(
@@ -157,25 +115,25 @@ class WRTRingStation:
     @property
     def may_send_rt(self) -> bool:
         """Rule 1: real-time allowed while fewer than ``l`` sent this round."""
-        return self.rt_pck < self._quota.l and bool(self.rt_queue)
+        return self.rt_pck < self.quota.l and bool(self.rt_queue)
 
     @property
     def _rt_exhausted_or_empty(self) -> bool:
         """Rule 2's precondition: RT buffer empty or RT quota used up."""
-        return not self.rt_queue or self.rt_pck >= self._quota.l
+        return not self.rt_queue or self.rt_pck >= self.quota.l
 
     @property
     def may_send_assured(self) -> bool:
         return (self._rt_exhausted_or_empty
-                and self.nrt_pck < self._quota.k
-                and self.as_pck < self._quota.k1
+                and self.nrt_pck < self.quota.k
+                and self.as_pck < self.quota.k1
                 and bool(self.as_queue))
 
     @property
     def may_send_be(self) -> bool:
         return (self._rt_exhausted_or_empty
-                and self.nrt_pck < self._quota.k
-                and self.be_pck < self._quota.k2
+                and self.nrt_pck < self.quota.k
+                and self.be_pck < self.quota.k2
                 and bool(self.be_queue)
                 # k1 has strict priority over k2 within the same station
                 and not self.may_send_assured)
@@ -235,7 +193,7 @@ class WRTRingStation:
         that will cut it out — holding it back would stall the rotation
         until the watchdogs cut out an innocent station instead.
         """
-        return (self._leaving or self.rt_pck >= self._quota.l
+        return (self.leaving or self.rt_pck >= self.quota.l
                 or not self.rt_queue)
 
     def on_sat_arrival(self, now: float) -> Optional[float]:

@@ -8,8 +8,7 @@ byte-identical trace hashes, per-station tables and summaries across both
 kernels for every checked-in fuzz corpus bundle and a seeded scenario grid.
 """
 
-from repro.core.columns import ColumnState, hop_plan
-from repro.kernel.batched import BatchedKernel, install_batched_kernel
+from repro.kernel.batched import (BatchedKernel, hop_plan,
+                                  install_batched_kernel)
 
-__all__ = ["BatchedKernel", "install_batched_kernel", "ColumnState",
-           "hop_plan"]
+__all__ = ["BatchedKernel", "install_batched_kernel", "hop_plan"]

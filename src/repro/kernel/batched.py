@@ -13,19 +13,17 @@ Equivalence is structural, not aspirational:
   scalar path, in the same order, at the same times; the only difference is
   how the next slot is reached (``Engine.advance_to`` instead of a heap
   push/pop per slot).
-* While any SAT event has a subscriber (every traced run), fast-forward
-  synthesizes each skipped hop by running the real ``_sat_step`` at the real
-  hop time — the emitted event stream is byte-identical by construction.
-* Only when no SAT emitter is live (trace-off fabric shards, perf harnesses)
-  does the jump collapse into the closed-form column update from
-  :mod:`repro.core.columns` — the big win the ``batched_tick_rate``
-  benchmark measures.
+* Fast-forward engages only when no SAT event has a subscriber and no
+  adaptive timer runs (trace-off fabric shards, perf harnesses): the jump
+  collapses into the closed-form hand-off update from :func:`hop_plan` —
+  the big win the ``batched_tick_rate`` benchmark measures.  A traced run
+  takes its quiescent stretches through inline batching instead.
 * The mirror-image regime — every member backlogged with successor-addressed
-  traffic, nothing else armed — is handled the same way by the *saturated*
-  path: the residual quota budgets from ``ColumnState.segment_budgets`` make
-  each station's sends consecutive, so SAT holds and releases follow in
-  closed form and a whole window of slots is applied from one merged event
-  list (``_saturated_run``; the ``saturated_slot_rate`` benchmark's regime).
+  traffic, nothing else armed — is handled by the *saturated* path: each
+  station's residual quota budgets (``QuotaConfig.send_schedule``) make its
+  sends consecutive, so SAT holds and releases follow in closed form and a
+  whole window of slots is applied from one merged event list
+  (``_saturated_run``; the ``saturated_slot_rate`` benchmark's regime).
 * Runs driven with ``max_events`` budgets fall back to exactly one slot per
   agenda event so budget chunk boundaries keep their scalar meaning.
 
@@ -37,18 +35,34 @@ traces, tables, summaries — must match byte for byte.  See docs/KERNEL.md.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import List, Tuple
 
-from repro.core.columns import hop_plan
 from repro.core.diffserv import COLUMN_CLASSES
 from repro.core.sat import SAT
-from repro.events.types import (PacketEnqueued, PacketLost, PacketOrphaned,
-                                SlotDeliver, SlotTransmit)
+from repro.events.types import (LeaveAnnounced, PacketEnqueued, PacketLost,
+                                PacketOrphaned, SlotDeliver, SlotTransmit,
+                                StationKilled)
 
-__all__ = ["BatchedKernel", "install_batched_kernel"]
+__all__ = ["BatchedKernel", "install_batched_kernel", "hop_plan"]
 
 #: a saturated window shorter than this is not worth the setup cost
 _MIN_SAT_WINDOW = 8
+
+
+def hop_plan(n: int, K: int) -> List[Tuple[int, int]]:
+    """Visit plan for ``K`` SAT hops around an ``n``-ring.
+
+    Hop ``j`` (0-based) lands on ring offset ``j % n``.  Returns, per offset
+    ``d``, ``(count, last_j)``: how many visits the station there receives
+    and the hop index of its final visit (-1 when unvisited).
+    """
+    if K < 0:
+        raise ValueError(f"hop budget must be non-negative, got {K}")
+    plan = []
+    for d in range(n):
+        count = (K - d + n - 1) // n if d < K else 0
+        plan.append((count, d + (count - 1) * n if count else -1))
+    return plan
 
 
 def install_batched_kernel(net) -> "BatchedKernel":
@@ -79,11 +93,15 @@ class BatchedKernel:
         #: saturated-path telemetry: engaged windows and slots they covered
         self.sat_windows = 0
         self.sat_slots = 0
+        #: kills and leave announcements seen: a saturated replay window
+        #: stops at the slot where a subscriber changes either flag
+        self._lifecycle = 0
         self._dataplane_private = False
         #: adaptive SAT timers change state on every hop (estimator samples,
-        #: re-armed deadlines), so skipped hops must always be replayed
-        #: through the real ``_sat_step`` and the saturated analytic path —
-        #: whose inline sends run *ahead* of engine time — stays off
+        #: re-armed deadlines), so every hop must run through the real
+        #: ``_sat_step`` at its real time: fast-forward stays off, and so
+        #: does the saturated analytic path, whose inline sends run *ahead*
+        #: of engine time
         self._adaptive = bool(getattr(net, "adaptive_timers", False))
         net.tick_driver = self._drive
         bus = net.events
@@ -91,6 +109,8 @@ class BatchedKernel:
         bus.subscribe(SlotDeliver, self._on_packet_out)
         bus.subscribe(PacketLost, self._on_packet_out)
         bus.subscribe(PacketOrphaned, self._on_packet_out)
+        bus.subscribe(StationKilled, self._on_lifecycle)
+        bus.subscribe(LeaveAnnounced, self._on_lifecycle)
         bus.add_binder(self._recheck_dataplane_subs)
 
     # ------------------------------------------------------------------
@@ -99,6 +119,9 @@ class BatchedKernel:
 
     def _on_packet_out(self, _ev) -> None:
         self.buffered -= 1
+
+    def _on_lifecycle(self, _ev) -> None:
+        self._lifecycle += 1
 
     def _recheck_dataplane_subs(self) -> None:
         """Re-derive (on every subscription change) whether the dataplane
@@ -149,9 +172,13 @@ class BatchedKernel:
     # ------------------------------------------------------------------
     def _quiescent(self, t: float) -> bool:
         """True when every slot from ``t+1`` on is provably a no-op apart
-        from SAT circulation over a fully alive, satisfied ring."""
+        from SAT circulation over a fully alive, satisfied ring, and that
+        circulation can be applied in closed form: no SAT event has a
+        subscriber (every traced run has one) and no adaptive timer needs
+        each hop at its real time."""
         net = self.net
-        if self.buffered != 0:
+        if (self.buffered != 0 or self._adaptive or net._ev_sat_release
+                or net._ev_sat_rotation or net._ev_sat_arrive):
             return False
         # tick-observable machinery: per-tick hooks (backlog traffic,
         # mobility), RingTick subscribers (invariant checkers, probes) and
@@ -172,9 +199,7 @@ class BatchedKernel:
             return False
         if not float(t).is_integer():
             return False  # ticks live on the integer grid; be conservative
-        stations = net.stations
-        for sid in net.order:
-            st = stations[sid]
+        for st in net._members:
             if not st.alive or st.leaving:
                 return False
         return True
@@ -189,9 +214,9 @@ class BatchedKernel:
         where ``T`` is bounded by the run window (ticks after ``until`` never
         run) and by the next live agenda event (a timer or traffic arrival
         may change the world, so no skipped slot may lie at or beyond it).
-        The skipped hand-offs are synthesized exactly; the resume tick is
-        ``t + T + 1`` — the same pending-tick position the scalar path
-        would reach.
+        The skipped hand-offs are applied in closed form
+        (:meth:`_bulk_hops`); the resume tick is ``t + T + 1`` — the same
+        pending-tick position the scalar path would reach.
         """
         eng = self.engine
         net = self.net
@@ -204,59 +229,20 @@ class BatchedKernel:
         if T < 2:
             return t + 1.0  # nothing worth skipping
 
-        sat = net.sat
-        h = float(net.config.sat_hop_slots)
-        a0 = sat.arrival_time   # hop j lands at a0 + j*h
+        h = net.config.sat_hop_slots
+        a0 = net.sat.arrival_time   # hop j lands at a0 + j*h
         t_stop = float(ti + T)
         K = 0 if a0 > t_stop else int((t_stop - a0) // h) + 1
 
         self.ff_jumps += 1
         self.ff_slots_skipped += T - 1
-
-        if K == 0:
-            return t_stop + 1.0
-        if (self._adaptive or net._ev_sat_release or net._ev_sat_rotation
-                or net._ev_sat_arrive):
-            # adaptive mode always replays: each hop feeds the rotation
-            # estimator and may re-arm a SAT_TIMER at a new deadline, and
-            # both must happen at the real hop time for scalar parity
-            return self._replay_hops(a0, h, K, t_stop)
-        self._bulk_hops(a0, h, K)
+        if K:
+            self._bulk_hops(a0, h, K)
         return t_stop + 1.0
 
-    def _replay_hops(self, a0: float, h: float, K: int,
-                     t_stop: float) -> float:
-        """Emitting path: run the real ``_sat_step`` at each hop time, so
-        subscribers (the trace adapter above all) observe the identical
-        event stream the scalar path would have produced."""
-        eng = self.engine
-        net = self.net
-        sat = net.sat
-        for j in range(K):
-            tau = a0 + j * h
-            if self._adaptive:
-                # a previous hop's adaptive re-arm may have moved a
-                # SAT_TIMER deadline inside the window (the rto floor at
-                # max_sample + G makes that unreachable in a quiescent
-                # ring, but the guard keeps safety structural): hand
-                # control back so the engine fires it on schedule.
-                # ``<=`` because timers (priority 0) beat ticks (5).
-                pending = eng.peek()
-                if pending is not None and pending <= tau:
-                    return math.floor(eng.now) + 1.0
-            eng.advance_to(tau)
-            net._sat_step(tau)
-            if (self.buffered or eng.stopped or net._sat_lost
-                    or not sat.in_flight or sat.kind != SAT.NORMAL):
-                # a subscriber perturbed the world mid-jump: resume normal
-                # ticking at the next slot, exactly where scalar would tick
-                return math.floor(eng.now) + 1.0
-        return t_stop + 1.0
-
-    def _bulk_hops(self, a0: float, h: float, K: int) -> None:
-        """Closed-form path (no SAT subscribers): apply the net effect of
-        ``K`` hand-offs with the columnar visit plan from
-        :func:`~repro.core.columns.hop_plan`."""
+    def _bulk_hops(self, a0: float, h: int, K: int) -> None:
+        """Apply the net effect of ``K`` hand-offs at once, with the visit
+        plan from :func:`hop_plan`."""
         net = self.net
         eng = self.engine
         sat = net.sat
@@ -268,29 +254,28 @@ class BatchedKernel:
         log = net.rotation_log
         round_rotation = float(n) * h
 
-        offsets, counts, last_j = hop_plan(n, i1, K)
-        last_tau = a0 + last_j * h
-        last_seq = s0 + last_j
-
         # per-station net effect of every visit in the window
-        visited = [(int(last_j[d]), int(d)) for d in range(n) if counts[d] > 0]
-        for _, d in visited:
+        visited = []
+        for d, (count, last_j) in enumerate(hop_plan(n, K)):
+            if not count:
+                continue
             sid = order[(i1 + d) % n]
             st = net.stations[sid]
-            c = int(counts[d])
             first_tau = a0 + d * h
             if st.last_sat_arrival is not None:
                 log.add(sid, first_tau - st.last_sat_arrival)
-            for _ in range(c - 1):
+            for _ in range(count - 1):
                 log.add(sid, round_rotation)
-            st.sat_visits += c
-            st.last_sat_arrival = float(last_tau[d])
-            st.last_sat_departure = float(last_tau[d])
-            st.last_sat_seq = int(last_seq[d])
+            last_tau = a0 + last_j * h
+            st.sat_visits += count
+            st.last_sat_arrival = last_tau
+            st.last_sat_departure = last_tau
+            st.last_sat_seq = s0 + last_j
             st.rt_pck = 0
             st.nrt_pck = 0
             st.as_pck = 0
             st.be_pck = 0
+            visited.append((last_j, last_tau, sid))
 
         # completed rounds: hops landing on order[0]
         first_round_hop = (n - i1) % n
@@ -301,9 +286,9 @@ class BatchedKernel:
         # each visited station's SAT_TIMER was restarted at every release;
         # only the final restart survives — rearm once, in release order,
         # at the exact deadline the scalar path would have left armed
-        for _, d in sorted(visited):
-            eng.advance_to(float(last_tau[d]))
-            net.recovery.restart_timer(order[(i1 + d) % n])
+        for _, last_tau, sid in sorted(visited):
+            eng.advance_to(last_tau)
+            net.recovery.restart_timer(sid)
 
         sat.hops = hops0 + K
         sat.seq = s0 + K
@@ -351,7 +336,12 @@ class BatchedKernel:
             return False
         if not float(t).is_integer():
             return False
-        return net.columns.members_saturated()
+        total = 0
+        for st in net._members:
+            if not st.alive or st.leaving or st.transit or st._nonsucc:
+                return False
+            total += len(st.rt_queue) + len(st.as_queue) + len(st.be_queue)
+        return total > 0
 
     def _emit_sends(self, events: list, i: int, s: int, r: int, a: int,
                     b: int, limit: int) -> "tuple[int, int, int]":
@@ -401,7 +391,6 @@ class BatchedKernel:
         :meth:`_bulk_hops`."""
         eng = self.engine
         net = self.net
-        cols = net.columns
         ti = int(t)
         T = int(math.floor(until)) - ti
         horizon_event = eng.peek()
@@ -414,22 +403,21 @@ class BatchedKernel:
         members = net._members
         n = len(members)
         sat = net.sat
-        h = int(net.config.sat_hop_slots)
-        q_l = [st._quota.l for st in members]
-        q_k = [st._quota.k for st in members]
-        q_k1 = [st._quota.k1 for st in members]
-        q_k2 = [st._quota.k2 for st in members]
+        h = net.config.sat_hop_slots
+        q_l = [st.quota.l for st in members]
+        q_k = [st.quota.k for st in members]
+        q_k1 = [st.quota.k1 for st in members]
+        q_k2 = [st.quota.k2 for st in members]
 
         # ---- phase 1: analytic walk -----------------------------------
-        cols.sync_hot()
-        r0, a0, b0 = cols.segment_budgets()
+        rem_rt = [len(st.rt_queue) for st in members]
+        rem_as = [len(st.as_queue) for st in members]
+        rem_be = [len(st.be_queue) for st in members]
         seg_start = [ti + 1] * n
-        seg_r = [int(x) for x in r0]
-        seg_a = [int(x) for x in a0]
-        seg_b = [int(x) for x in b0]
-        rem_rt = [int(x) for x in cols.rt_depth]
-        rem_as = [int(x) for x in cols.as_depth]
-        rem_be = [int(x) for x in cols.be_depth]
+        seg_r, seg_a, seg_b = map(list, zip(*(
+            st.quota.send_schedule(st.rt_pck, st.nrt_pck, st.as_pck,
+                                   st.be_pck, rem_rt[i], rem_as[i], rem_be[i])
+            for i, st in enumerate(members))))
 
         events: list = []
         final_release = [None] * n
@@ -485,7 +473,7 @@ class BatchedKernel:
         # ---- phase 2: ordered application -----------------------------
         replay = bool(net._ev_sat_release or net._ev_sat_rotation
                       or net._ev_sat_arrive or net._ev_sat_hold)
-        gen0 = cols.generation
+        lifecycle0 = self._lifecycle
         mt = net.metrics
         transmitted = mt.transmitted
         delivered = mt.delivered
@@ -530,9 +518,11 @@ class BatchedKernel:
                 net._sat_step(tf)
                 if (eng.stopped or net._sat_lost
                         or net.sat.kind != SAT.NORMAL
-                        or cols.generation != gen0
+                        or net._members is not members
+                        or self._lifecycle != lifecycle0
                         or self.buffered != buffered0):
-                    # a subscriber perturbed the world mid-window: all
+                    # a subscriber perturbed the world mid-window (a
+                    # membership change rebuilds ``_members``): all
                     # effects through this slot are applied, so resume
                     # normal ticking exactly where scalar would tick
                     return math.floor(eng.now) + 1.0

@@ -164,12 +164,14 @@ def seeded_grid() -> List[Scenario]:
     """The pinned parity grid: one scenario per protocol regime.
 
     Horizons are sized so the whole grid runs both kernels in well under a
-    CI minute while still crossing every fast-forward boundary many times.
+    CI minute while still crossing many inline-batching and saturated-window
+    boundaries.  Every grid run is traced, so none of them fast-forwards.
     """
     from repro.faults import FaultEvent, FaultSchedule
 
     grid: List[Scenario] = [
-        # pure quiescent circulation: fast-forward fires constantly
+        # pure quiescent circulation: traced, so inline batching runs it
+        # (fast-forward needs a run with no SAT subscriber)
         Scenario(n=8, traffic=TrafficMix(kind="none"), horizon=4000, seed=11),
         # sparse Poisson: quiescent stretches interleaved with bursts
         Scenario(n=8, traffic=TrafficMix(kind="poisson", rate=0.01),
@@ -241,9 +243,10 @@ def seeded_grid() -> List[Scenario]:
                                     service=ServiceClass.PREMIUM,
                                     deadline=40.0, neighbours_only=True),
                  horizon=900, seed=24),
-        # saturated + a mid-drain membership change: the insert rebinds the
-        # columns and forces the gate back to scalar slots until the new
-        # topology's successor-addressing is saturated again
+        # saturated + a mid-drain membership change: the insert rebuilds the
+        # member list and successor hints and forces the gate back to scalar
+        # slots until the new topology's successor-addressing is saturated
+        # again
         Scenario(n=6, l=2, k=1,
                  traffic=TrafficMix(kind="prefill", burst=60,
                                     neighbours_only=True),
@@ -251,9 +254,9 @@ def seeded_grid() -> List[Scenario]:
                                                   station=77,
                                                   params={"after": 2})]),
                  horizon=900, seed=25),
-        # adaptive timers over sparse Poisson: long quiescent stretches
-        # where every replayed hop feeds the estimator and re-arms the
-        # watchdogs at adaptive deadlines (the deferred-maintenance path)
+        # adaptive timers over sparse Poisson: long quiescent stretches run
+        # by inline batching, every hop through the real SAT step feeding
+        # the estimator and re-arming the watchdogs at adaptive deadlines
         Scenario(n=8, adaptive_timers=True,
                  traffic=TrafficMix(kind="poisson", rate=0.01),
                  horizon=3000, seed=26),

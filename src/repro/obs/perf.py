@@ -114,7 +114,7 @@ def bench_batched_tick_rate(quick: bool = False) -> float:
 
 def bench_saturated_slot_rate(quick: bool = False) -> float:
     """Slot-ticks/sec of a fully backlogged 32-station ring under the
-    batched kernel's vectorized saturated path.
+    batched kernel's saturated path.
 
     Every station holds a successor-addressed backlog (the regime the
     paper's Theorems 1-3 bound), trace off, RAP off — so the kernel

@@ -37,16 +37,27 @@ def _imports(path: Path):
                 yield node.lineno, node.module
 
 
-@pytest.mark.parametrize("package", sorted(CONTRACTS))
-def test_layer_never_imports_subscribers(package):
-    forbidden = CONTRACTS[package]
-    violations = []
+def _violations(package, forbidden):
+    found = []
     for path in sorted((SRC / package).rglob("*.py")):
         for lineno, module in _imports(path):
             if any(module == f or module.startswith(f + ".")
                    for f in forbidden):
-                violations.append(
+                found.append(
                     f"{path.relative_to(SRC.parent)}:{lineno} imports {module}")
+    return found
+
+
+@pytest.mark.parametrize("package", sorted(CONTRACTS))
+def test_layer_never_imports_subscribers(package):
+    violations = _violations(package, CONTRACTS[package])
+    assert not violations, "\n".join(violations)
+
+
+def test_core_imports_neither_numpy_nor_kernel():
+    # the protocol state lives once, in plain Python objects; the batched
+    # kernel reads those objects and the core never reaches up to it
+    violations = _violations("core", ("numpy", "repro.kernel"))
     assert not violations, "\n".join(violations)
 
 

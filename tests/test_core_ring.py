@@ -304,11 +304,11 @@ def reference_picks(net, members):
     picks = [None] * len(members)
     transit_first = net.config.transit_priority
     for idx, st in enumerate(members):
-        if not st._alive:
+        if not st.alive:
             picks[idx] = net._PICK_IDLE
         elif transit_first and st.transit:
             picks[idx] = net._PICK_TRANSIT
-        elif not st._leaving:
+        elif not st.leaving:
             service = st._decide_class()
             if service is not None:
                 picks[idx] = service

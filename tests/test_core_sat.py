@@ -113,6 +113,8 @@ class TestConfigValidation:
             WRTRingConfig(s_round=-1)
         with pytest.raises(ValueError):
             WRTRingConfig(sat_hop_slots=0)
+        with pytest.raises(TypeError):
+            WRTRingConfig(sat_hop_slots=1.5)
         with pytest.raises(ValueError):
             WRTRingConfig(rebuild_retry_limit=0)
 

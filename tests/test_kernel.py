@@ -1,5 +1,5 @@
-"""Unit tests for the batched kernel: columns, hop planning, fast-forward
-boundaries, and budget/stop interactions.
+"""Unit tests for the batched kernel: hop planning, fast-forward
+boundaries, saturated windows, and budget/stop interactions.
 
 The differential suite (test_kernel_parity.py) proves whole-run equivalence;
 these tests pin the individual mechanisms — so a parity failure elsewhere can
@@ -10,9 +10,10 @@ import math
 
 import pytest
 
-from repro.core import (Packet, ServiceClass, WRTRingConfig, WRTRingNetwork)
-from repro.core.columns import ColumnState, hop_plan
-from repro.kernel import BatchedKernel, install_batched_kernel
+from repro.core import (Packet, QuotaConfig, ServiceClass, WRTRingConfig,
+                        WRTRingNetwork)
+from repro.events.types import SatRelease
+from repro.kernel import BatchedKernel, hop_plan, install_batched_kernel
 from repro.sim import Engine
 
 
@@ -64,7 +65,9 @@ def timer_deadlines(net):
 
 # ======================================================================
 class TestHopPlan:
-    """hop_plan's closed-form visit counts vs a brute-force walk."""
+    """hop_plan's closed-form visit counts vs a brute-force walk that
+    starts at ring position ``i1`` (offset ``d`` is position
+    ``(i1 + d) % n``, as the kernel maps it)."""
 
     @pytest.mark.parametrize("n,i1,K", [
         (1, 0, 1), (1, 0, 7),
@@ -73,42 +76,72 @@ class TestHopPlan:
         (16, 7, 1000), (16, 0, 16), (16, 15, 15),
     ])
     def test_matches_brute_force(self, n, i1, K):
-        offsets, counts, last_j = hop_plan(n, i1, K)
         brute_counts = [0] * n
         brute_last = [-1] * n
         for j in range(K):
-            d = j % n
-            brute_counts[d] += 1
-            brute_last[d] = j
-        assert list(offsets) == list(range(n))
-        assert list(counts) == brute_counts
-        assert list(last_j) == brute_last
+            pos = (i1 + j) % n
+            brute_counts[pos] += 1
+            brute_last[pos] = j
+        plan = hop_plan(n, K)
+        assert len(plan) == n
+        by_pos = {(i1 + d) % n: visit for d, visit in enumerate(plan)}
+        assert [by_pos[p][0] for p in range(n)] == brute_counts
+        assert [by_pos[p][1] for p in range(n)] == brute_last
 
     def test_total_visits_is_k(self):
-        _, counts, _ = hop_plan(7, 3, 123)
-        assert int(counts.sum()) == 123
+        assert sum(count for count, _ in hop_plan(7, 123)) == 123
 
 
 # ======================================================================
-class TestColumnState:
-    def test_round_trip_after_scalar_run(self):
-        engine, net = make_net(6)
-        net.start()
-        net.enqueue(pkt(0, 3))
-        engine.run(until=100.0)
-        cols = ColumnState(net)
-        cols.sync_from_network()
-        assert cols.verify_against(net) == []
+def nonsucc_recount(st):
+    """Queued packets not addressed to the station's ring successor,
+    counted from the queues themselves."""
+    return sum(1 for q in (st.rt_queue, st.as_queue, st.be_queue)
+               for p in q if p.dst != st._succ_sid)
 
-    def test_verify_catches_corruption(self):
-        engine, net = make_net(4)
+
+class TestNonSuccessorCount:
+    """The saturated gate trusts each station's incremental ``_nonsucc``
+    counter; it must equal a recount of the queues through sends,
+    enqueues and membership changes."""
+
+    def test_counter_matches_recount(self):
+        engine, net = make_net(6, l=1, k=1)
         net.start()
-        engine.run(until=50.0)
-        cols = ColumnState(net)
-        cols.sync_from_network()
-        cols.sat_visits[2] += 1
-        mismatches = cols.verify_against(net)
-        assert mismatches and any("sat_visits" in m for m in mismatches)
+
+        def check(step):
+            for st in net.stations.values():
+                assert st._nonsucc == nonsucc_recount(st), (step, st.sid)
+
+        def enqueue_mixed():
+            for sid in net.members:
+                succ = net.successor(sid)
+                far = net.successor(net.successor(sid))
+                net.enqueue(pkt(sid, succ, created=engine.now))
+                net.enqueue(pkt(sid, far, created=engine.now))
+                net.enqueue(pkt(sid, succ, service=ServiceClass.BEST_EFFORT,
+                                created=engine.now))
+                net.enqueue(pkt(sid, far, service=ServiceClass.BEST_EFFORT,
+                                created=engine.now))
+
+        enqueue_mixed()
+        check("enqueue")
+        assert any(st._nonsucc for st in net.stations.values())
+        engine.run(until=4.0)
+        check("sends")
+        # station 2's successor-addressed packets (dst 3) stop being
+        # successor traffic once 77 sits between them
+        net.insert_station(77, after=2, quota=QuotaConfig.two_class(1, 1))
+        check("insert")
+        assert net.stations[2]._nonsucc > 0
+        enqueue_mixed()
+        engine.run(until=8.0)
+        check("sends after insert")
+        net.remove_station(4)
+        check("remove")
+        assert net.stations[4]._nonsucc == 0
+        engine.run(until=12.0)
+        check("sends after remove")
 
 
 # ======================================================================
@@ -199,6 +232,35 @@ class TestFastForward:
             se.run(until=upto); be.run(until=upto)
             assert snapshot(bn) == snapshot(sn), f"diverged at until={upto}"
 
+    def test_sat_subscriber_keeps_fast_forward_off(self):
+        # every traced run has one: its quiescent stretches take inline
+        # batching, so each hop's events fire at the real hop time
+        (se, sn), (be, bn, kern) = make_pair(8)
+        for eng, net in ((se, sn), (be, bn)):
+            releases = []
+            net.events.subscribe(SatRelease, releases.append)
+            net.start()
+            eng.run(until=3000.0)
+            assert releases
+        assert kern.ff_jumps == 0
+        assert snapshot(bn) == snapshot(sn)
+
+    def test_adaptive_timers_keep_fast_forward_off(self):
+        nets = []
+        for batched in (False, True):
+            engine = Engine()
+            cfg = WRTRingConfig.homogeneous(range(8), l=2, k=2,
+                                            rap_enabled=False)
+            net = WRTRingNetwork(engine, list(range(8)), cfg,
+                                 adaptive_timers=True)
+            kern = install_batched_kernel(net) if batched else None
+            net.start()
+            engine.run(until=3000.0)
+            nets.append(net)
+        assert kern.ff_jumps == 0
+        assert snapshot(nets[1]) == snapshot(nets[0])
+        assert timer_deadlines(nets[1]) == timer_deadlines(nets[0])
+
     def test_saturated_ring_never_fast_forwards(self):
         engine, net = make_net(4, l=1, k=1)
         kern = install_batched_kernel(net)
@@ -236,10 +298,10 @@ def prefill_successor(net, rt=0, be=0, deadline=None):
 
 
 class TestSaturatedWindow:
-    """The vectorized saturated path in trace-off bulk mode: whole SAT
-    windows advanced analytically, byte-identical to the scalar kernel.
-    (Replay mode — every tracing run — is pinned by the parity grid's
-    saturated scenarios, seeds 23-25.)"""
+    """The saturated path in trace-off bulk mode: whole SAT windows
+    advanced analytically, byte-identical to the scalar kernel.  (Replay
+    mode — every tracing run — is pinned by the parity grid's saturated
+    scenarios, seeds 23-25, and by TestSaturatedReplayTripwire.)"""
 
     def test_bulk_window_matches_scalar(self):
         (se, sn), (be, bn, kern) = make_pair(6, l=2, k=1)
@@ -286,6 +348,49 @@ class TestSaturatedWindow:
         assert kern.sat_windows > 0
         assert kern.ff_jumps > 0
         assert net.metrics.total_delivered == 6 * 8
+
+
+class TestSaturatedReplayTripwire:
+    """A SAT subscriber runs every saturated window in replay mode; if it
+    perturbs the ring mid-window, the window must hand back to
+    slot-by-slot ticking at that slot and stay equal to the scalar run."""
+
+    @staticmethod
+    def run_pair(action):
+        (se, sn), (be, bn, kern) = make_pair(6, l=2, k=1)
+        for eng, net in ((se, sn), (be, bn)):
+            fired = []
+
+            def on_release(ev, net=net, fired=fired):
+                if not fired and ev.t >= 100.0:
+                    # two hops past the station the SAT is heading to
+                    victim = net.successor(net.successor(ev.to))
+                    fired.append(victim)
+                    action(net, victim)
+
+            net.events.subscribe(SatRelease, on_release)
+            net.start()
+            prefill_successor(net, rt=40, be=20)
+            eng.run(until=600.0)
+            assert fired
+        assert kern.sat_windows > 0
+        assert snapshot(bn) == snapshot(sn)
+        assert metrics_state(bn) == metrics_state(sn)
+        assert timer_deadlines(bn) == timer_deadlines(sn)
+        return sn
+
+    def test_leave_mid_window(self):
+        sn = self.run_pair(lambda net, sid: net.leave_gracefully(sid))
+        assert len(sn.order) == 5
+
+    def test_kill_mid_window(self):
+        sn = self.run_pair(lambda net, sid: net.kill_station(sid))
+        assert sum(st.alive for st in sn.stations.values()) == 5
+
+    def test_insert_mid_window(self):
+        sn = self.run_pair(lambda net, sid: net.insert_station(
+            77, after=sid, quota=QuotaConfig.two_class(2, 1)))
+        assert len(sn.order) == 7
 
 
 # ======================================================================

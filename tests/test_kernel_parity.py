@@ -10,12 +10,14 @@ driver dispatches fewer agenda events by design).
 
 import glob
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.fuzz.bundle import load_bundle
 from repro.fuzz.generate import FuzzCase, generate_case
 from repro.kernel.diff import diff_fuzz_case, diff_scenario, seeded_grid
+from repro.scenarios import run_scenario
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
@@ -39,9 +41,9 @@ class TestCorpusParity:
 
 class TestSeededGridParity:
     """The pinned scenario grid covers one regime per protocol feature:
-    idle rings (fast-forward saturated), sparse/periodic/bursty traffic,
-    saturation (no fast-forward), RAP joins, kills, leaves, SAT loss,
-    invariant checkers, and off-grid run windows."""
+    idle rings, sparse/periodic/bursty traffic, saturation, RAP joins,
+    kills, leaves, SAT loss, invariant checkers, and off-grid run
+    windows."""
 
     @pytest.mark.parametrize("idx", range(len(GRID)),
                              ids=[f"seed{s.seed}-{s.traffic.kind}"
@@ -50,13 +52,19 @@ class TestSeededGridParity:
         diff = diff_scenario(GRID[idx], label=f"grid[{idx}]")
         assert diff.ok, diff.describe()
 
+    @pytest.mark.parametrize("seed", (23, 24, 25))
+    def test_saturated_points_engage_windows(self, seed):
+        # parity alone cannot tell a window that engaged from one that
+        # fell back to slot-by-slot ticking: both are byte-identical
+        scenario = next(s for s in GRID if s.seed == seed)
+        result = run_scenario(replace(scenario, kernel="batched"))
+        assert result.network.tick_driver.__self__.sat_windows > 0
+
 
 class TestFabricKernelParity:
     """Per-ring kernel choice must not change fabric-level behaviour."""
 
     def _result(self, topo, mode, kernel):
-        from dataclasses import replace
-
         from repro.fabric import FabricRunner
         topo = replace(topo, base=replace(topo.base, kernel=kernel))
         with FabricRunner(topo, mode=mode, trace=True) as runner:
