@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("--check-invariants", key="check_invariants", nargs=0, const=True)
     add("--kernel", key="kernel", choices=["scalar", "batched"],
         help="tick driver: 'scalar' (reference, one event per slot) or "
-             "'batched' (inline slot batching + analytic fast-forward; "
+             "'batched' (inline slot batching + saturated SAT windows; "
              "byte-identical output, see docs/KERNEL.md)")
     add("--adaptive-timers", key="adaptive_timers", nargs=0, const=True,
         help="arm SAT_TIMERs from an RFC 6298 SRTT/RTTVAR estimator over "

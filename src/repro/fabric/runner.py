@@ -195,6 +195,8 @@ class FabricRunner:
         self.trace = trace
         self.observe = observe
         self.clock = 0.0
+        #: barriers reached so far; barrier ``k`` sits at ``k * window``
+        self.barriers = 0
         self._closed = False
         if mode == "serial":
             from repro.fabric.shard import RingShard
@@ -311,12 +313,14 @@ class FabricRunner:
         W = self.window
         while self.clock < until:
             # barriers sit at absolute multiples of W so interrupted and
-            # uninterrupted runs see the same exchange schedule
-            k = int(self.clock / W) + 1
-            barrier = k * W
+            # uninterrupted runs see the same exchange schedule; counting
+            # them keeps a fractional W from landing back on the barrier
+            # just reached (int(k * W / W) may round down to k - 1)
+            barrier = (self.barriers + 1) * W
             if barrier <= until:
                 outgoing = self._advance_all(barrier)
                 self._exchange(outgoing, barrier)
+                self.barriers += 1
                 self.clock = barrier
             else:
                 # partial tail: advance without an exchange (the next

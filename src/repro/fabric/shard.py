@@ -323,15 +323,14 @@ class RingShard:
             "trace_digest": digest,
         }
         # batched-kernel telemetry: diagnostic only — like
-        # events_executed, window/jump counts may differ across execution
-        # modes (conservative barriers clamp windows differently), so
-        # they stay out of summary()/ring_table() parity surfaces
+        # events_executed, saturated-window counts may differ across
+        # execution modes (conservative barriers clamp windows
+        # differently), so they stay out of summary()/ring_table() parity
+        # surfaces
         kern = getattr(getattr(self.net, "tick_driver", None), "__self__",
                        None)
-        if kern is not None and hasattr(kern, "ff_jumps"):
-            out["kernel"] = {"ff_jumps": kern.ff_jumps,
-                             "ff_slots_skipped": kern.ff_slots_skipped,
-                             "sat_windows": kern.sat_windows,
+        if kern is not None and hasattr(kern, "sat_windows"):
+            out["kernel"] = {"sat_windows": kern.sat_windows,
                              "sat_slots": kern.sat_slots}
         if include_trace:
             out["trace"] = lines

@@ -23,6 +23,7 @@ sub-dict, so campaign sweeps address fabric axes as ``topology.rings``,
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -76,6 +77,16 @@ class GatewayLink:
         raise KeyError(f"ring {ring} is not an endpoint of {self}")
 
 
+def _check_flow_timing(kind: str, rate: float, period: float) -> None:
+    """Reject the arrival parameter a flow of ``kind`` uses unless it is
+    positive (NaN included): a cbr source steps ``period`` slots per frame
+    and a poisson source draws gaps at ``rate``."""
+    if kind == "cbr" and not period > 0:
+        raise ValueError(f"a cbr flow needs a positive period, got {period!r}")
+    if kind == "poisson" and not rate > 0:
+        raise ValueError(f"a poisson flow needs a positive rate, got {rate!r}")
+
+
 @dataclass(frozen=True)
 class CrossFlow:
     """One end-to-end flow across the fabric.
@@ -97,6 +108,7 @@ class CrossFlow:
     def __post_init__(self) -> None:
         if self.kind not in ("cbr", "poisson"):
             raise ValueError(f"unknown flow kind {self.kind!r}")
+        _check_flow_timing(self.kind, self.rate, self.period)
         if self.src_ring == self.dst_ring:
             raise ValueError("cross-ring flows must join distinct rings "
                              f"(got ring {self.src_ring} twice)")
@@ -153,14 +165,20 @@ class Topology:
                 f"unknown gateway_placement {self.gateway_placement!r}")
         if self.flow_kind not in ("cbr", "poisson"):
             raise ValueError(f"unknown flow_kind {self.flow_kind!r}")
+        _check_flow_timing(self.flow_kind, self.flow_rate, self.flow_period)
         if self.gateway_buffer < 1:
             raise ValueError(
                 f"gateway_buffer must be >= 1, got {self.gateway_buffer}")
         if self.min_ring_hops < 1:
             raise ValueError(
                 f"min_ring_hops must be >= 1, got {self.min_ring_hops}")
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon!r}")
+        if self.sync_window is not None and not (
+                self.sync_window > 0 and math.isfinite(self.sync_window)):
+            raise ValueError(f"sync_window must be None or finite and "
+                             f"positive, got {self.sync_window!r}")
+        if not (self.horizon > 0 and math.isfinite(self.horizon)):
+            raise ValueError(
+                f"horizon must be finite and positive, got {self.horizon!r}")
 
     @property
     def stations(self) -> int:

@@ -1,4 +1,4 @@
-"""Batched stepping kernel: inline slot batching + analytic fast-forward.
+"""Batched stepping kernel: inline slot batching + saturated SAT windows.
 
 ``Scenario.kernel = "batched"`` (CLI: ``--kernel batched``) installs
 :class:`~repro.kernel.batched.BatchedKernel` as the network's tick driver;
@@ -8,7 +8,6 @@ byte-identical trace hashes, per-station tables and summaries across both
 kernels for every checked-in fuzz corpus bundle and a seeded scenario grid.
 """
 
-from repro.kernel.batched import (BatchedKernel, hop_plan,
-                                  install_batched_kernel)
+from repro.kernel.batched import BatchedKernel, install_batched_kernel
 
-__all__ = ["BatchedKernel", "install_batched_kernel", "hop_plan"]
+__all__ = ["BatchedKernel", "install_batched_kernel"]

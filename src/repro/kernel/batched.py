@@ -1,29 +1,23 @@
-"""Batched stepping driver with analytic fast-forward.
+"""Batched stepping driver: inline slot batching and saturated windows.
 
-The scalar reference path schedules one agenda event per slot and walks every
-station each tick.  :class:`BatchedKernel` replaces the tick *driver* (not the
-protocol): one agenda callback advances many slots inline, and provably
-quiescent stretches — nothing buffered anywhere, the SAT circulating a fully
-alive ring, no timer or traffic event due, no RAP/channel/impairment machinery
-armed — are fast-forwarded analytically instead of simulated slot by slot.
+The scalar reference path schedules one agenda event per slot.
+:class:`BatchedKernel` replaces the tick *driver* (not the protocol): one
+agenda callback advances many slots inline, and fully backlogged stretches
+are advanced a whole SAT window at a time.
 
 Equivalence is structural, not aspirational:
 
-* Non-quiescent slots run the *same* ``WRTRingNetwork._tick_body`` as the
-  scalar path, in the same order, at the same times; the only difference is
-  how the next slot is reached (``Engine.advance_to`` instead of a heap
-  push/pop per slot).
-* Fast-forward engages only when no SAT event has a subscriber and no
-  adaptive timer runs (trace-off fabric shards, perf harnesses): the jump
-  collapses into the closed-form hand-off update from :func:`hop_plan` —
-  the big win the ``batched_tick_rate`` benchmark measures.  A traced run
-  takes its quiescent stretches through inline batching instead.
-* The mirror-image regime — every member backlogged with successor-addressed
-  traffic, nothing else armed — is handled by the *saturated* path: each
-  station's residual quota budgets (``QuotaConfig.send_schedule``) make its
-  sends consecutive, so SAT holds and releases follow in closed form and a
-  whole window of slots is applied from one merged event list
-  (``_saturated_run``; the ``saturated_slot_rate`` benchmark's regime).
+* Slots run the *same* ``WRTRingNetwork._tick_body`` as the scalar path, in
+  the same order, at the same times; the only difference is how the next
+  slot is reached (``Engine.advance_to`` instead of a heap push/pop per
+  slot).  Quiescent stretches take this path too: every SAT hop runs the
+  real ``_sat_step`` at its real time.
+* The saturated regime — every member backlogged with successor-addressed
+  traffic, nothing else armed — is closed-form: each station's residual
+  quota budgets (``QuotaConfig.send_schedule``) make its sends consecutive,
+  so SAT holds and releases follow from them and a whole window of slots
+  is applied from one merged event list (``_saturated_run``; the
+  ``saturated_slot_rate`` benchmark's regime).
 * Runs driven with ``max_events`` budgets fall back to exactly one slot per
   agenda event so budget chunk boundaries keep their scalar meaning.
 
@@ -35,7 +29,6 @@ traces, tables, summaries — must match byte for byte.  See docs/KERNEL.md.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
 
 from repro.core.diffserv import COLUMN_CLASSES
 from repro.core.sat import SAT
@@ -43,26 +36,10 @@ from repro.events.types import (LeaveAnnounced, PacketEnqueued, PacketLost,
                                 PacketOrphaned, SlotDeliver, SlotTransmit,
                                 StationKilled)
 
-__all__ = ["BatchedKernel", "install_batched_kernel", "hop_plan"]
+__all__ = ["BatchedKernel", "install_batched_kernel"]
 
 #: a saturated window shorter than this is not worth the setup cost
 _MIN_SAT_WINDOW = 8
-
-
-def hop_plan(n: int, K: int) -> List[Tuple[int, int]]:
-    """Visit plan for ``K`` SAT hops around an ``n``-ring.
-
-    Hop ``j`` (0-based) lands on ring offset ``j % n``.  Returns, per offset
-    ``d``, ``(count, last_j)``: how many visits the station there receives
-    and the hop index of its final visit (-1 when unvisited).
-    """
-    if K < 0:
-        raise ValueError(f"hop budget must be non-negative, got {K}")
-    plan = []
-    for d in range(n):
-        count = (K - d + n - 1) // n if d < K else 0
-        plan.append((count, d + (count - 1) * n if count else -1))
-    return plan
 
 
 def install_batched_kernel(net) -> "BatchedKernel":
@@ -85,11 +62,9 @@ class BatchedKernel:
         #: maintained from the event spine, so it is exact whenever every
         #: packet exit emits (the invariant the spine already guarantees);
         #: paths that strand packets (e.g. a killed station before cut-out)
-        #: only ever over-count, which disables fast-forward, never corrupts it
+        #: only ever over-count, which costs the saturated gate a member
+        #: scan, never corrupts it
         self.buffered = 0
-        #: fast-forward telemetry (for tests and perf analysis)
-        self.ff_jumps = 0
-        self.ff_slots_skipped = 0
         #: saturated-path telemetry: engaged windows and slots they covered
         self.sat_windows = 0
         self.sat_slots = 0
@@ -99,9 +74,8 @@ class BatchedKernel:
         self._dataplane_private = False
         #: adaptive SAT timers change state on every hop (estimator samples,
         #: re-armed deadlines), so every hop must run through the real
-        #: ``_sat_step`` at its real time: fast-forward stays off, and so
-        #: does the saturated analytic path, whose inline sends run *ahead*
-        #: of engine time
+        #: ``_sat_step`` at its real time: the saturated analytic path,
+        #: whose inline sends run *ahead* of engine time, stays off
         self._adaptive = bool(getattr(net, "adaptive_timers", False))
         net.tick_driver = self._drive
         bus = net.events
@@ -153,11 +127,8 @@ class BatchedKernel:
             nxt = t + 1.0
             until = eng.run_until
             if (until is not None and not eng.run_budgeted
-                    and not eng.stopped):
-                if self._quiescent(t):
-                    nxt = self._fast_forward(t, until)
-                elif self._saturated(t):
-                    nxt = self._saturated_run(t, until)
+                    and not eng.stopped and self._saturated(t)):
+                nxt = self._saturated_run(t, until)
             if eng.stopped or eng.run_budgeted or (until is not None
                                                    and nxt > until):
                 break
@@ -166,136 +137,6 @@ class BatchedKernel:
                 break
             eng.advance_to(nxt)
         net._tick_handle = eng.schedule_at(nxt, self._drive, priority=5)
-
-    # ------------------------------------------------------------------
-    # quiescence
-    # ------------------------------------------------------------------
-    def _quiescent(self, t: float) -> bool:
-        """True when every slot from ``t+1`` on is provably a no-op apart
-        from SAT circulation over a fully alive, satisfied ring, and that
-        circulation can be applied in closed form: no SAT event has a
-        subscriber (every traced run has one) and no adaptive timer needs
-        each hop at its real time."""
-        net = self.net
-        if (self.buffered != 0 or self._adaptive or net._ev_sat_release
-                or net._ev_sat_rotation or net._ev_sat_arrive):
-            return False
-        # tick-observable machinery: per-tick hooks (backlog traffic,
-        # mobility), RingTick subscribers (invariant checkers, probes) and
-        # occupancy sampling all see every slot — cannot skip any
-        if net._tick_hooks or net._ev_tick or net._ev_occupancy:
-            return False
-        if net.channel is not None or net.impairments is not None:
-            return False
-        cfg = net.config
-        if cfg.rap_enabled or cfg.enforce_radio_links:
-            return False
-        if (net.network_down or net.rebuilding_until is not None
-                or t < net.pause_until):
-            return False
-        sat = net.sat
-        if (net._sat_lost or sat.kind != SAT.NORMAL or sat.rap_mutex
-                or not sat.in_flight):
-            return False
-        if not float(t).is_integer():
-            return False  # ticks live on the integer grid; be conservative
-        for st in net._members:
-            if not st.alive or st.leaving:
-                return False
-        return True
-
-    # ------------------------------------------------------------------
-    # analytic fast-forward
-    # ------------------------------------------------------------------
-    def _fast_forward(self, t: float, until: float) -> float:
-        """Skip the quiescent slots after ``t``; return the next tick time.
-
-        Slots ``t+1 .. t+T`` are provably no-ops except for SAT hand-offs,
-        where ``T`` is bounded by the run window (ticks after ``until`` never
-        run) and by the next live agenda event (a timer or traffic arrival
-        may change the world, so no skipped slot may lie at or beyond it).
-        The skipped hand-offs are applied in closed form
-        (:meth:`_bulk_hops`); the resume tick is ``t + T + 1`` — the same
-        pending-tick position the scalar path would reach.
-        """
-        eng = self.engine
-        net = self.net
-        ti = int(t)
-        T = int(math.floor(until)) - ti
-        horizon_event = eng.peek()
-        if horizon_event is not None:
-            # the last whole tick strictly before the event
-            T = min(T, int(math.ceil(horizon_event)) - 1 - ti)
-        if T < 2:
-            return t + 1.0  # nothing worth skipping
-
-        h = net.config.sat_hop_slots
-        a0 = net.sat.arrival_time   # hop j lands at a0 + j*h
-        t_stop = float(ti + T)
-        K = 0 if a0 > t_stop else int((t_stop - a0) // h) + 1
-
-        self.ff_jumps += 1
-        self.ff_slots_skipped += T - 1
-        if K:
-            self._bulk_hops(a0, h, K)
-        return t_stop + 1.0
-
-    def _bulk_hops(self, a0: float, h: int, K: int) -> None:
-        """Apply the net effect of ``K`` hand-offs at once, with the visit
-        plan from :func:`hop_plan`."""
-        net = self.net
-        eng = self.engine
-        sat = net.sat
-        order = net.order
-        n = len(order)
-        i1 = net._pos[sat.in_flight_to]
-        s0 = sat.seq
-        hops0 = sat.hops
-        log = net.rotation_log
-        round_rotation = float(n) * h
-
-        # per-station net effect of every visit in the window
-        visited = []
-        for d, (count, last_j) in enumerate(hop_plan(n, K)):
-            if not count:
-                continue
-            sid = order[(i1 + d) % n]
-            st = net.stations[sid]
-            first_tau = a0 + d * h
-            if st.last_sat_arrival is not None:
-                log.add(sid, first_tau - st.last_sat_arrival)
-            for _ in range(count - 1):
-                log.add(sid, round_rotation)
-            last_tau = a0 + last_j * h
-            st.sat_visits += count
-            st.last_sat_arrival = last_tau
-            st.last_sat_departure = last_tau
-            st.last_sat_seq = s0 + last_j
-            st.rt_pck = 0
-            st.nrt_pck = 0
-            st.as_pck = 0
-            st.be_pck = 0
-            visited.append((last_j, last_tau, sid))
-
-        # completed rounds: hops landing on order[0]
-        first_round_hop = (n - i1) % n
-        for j in range(first_round_hop, K, n):
-            sat.rounds += 1
-            log.mark_round(hops0 + j + 1)
-
-        # each visited station's SAT_TIMER was restarted at every release;
-        # only the final restart survives — rearm once, in release order,
-        # at the exact deadline the scalar path would have left armed
-        for _, last_tau, sid in sorted(visited):
-            eng.advance_to(last_tau)
-            net.recovery.restart_timer(sid)
-
-        sat.hops = hops0 + K
-        sat.seq = s0 + K
-        net._sat_seq = s0 + K
-        sat.at_station = None
-        sat.in_flight_to = order[(i1 + K) % n]
-        sat.arrival_time = a0 + (K - 1) * h + h
 
     # ------------------------------------------------------------------
     # saturated regime
@@ -387,8 +228,7 @@ class BatchedKernel:
         real ``_sat_step`` runs at the real hop time (byte-identical event
         stream, with divergence tripwires against the prediction);
         otherwise the hand-off bookkeeping is inlined and only each
-        station's final SAT_TIMER restart is re-armed, as in
-        :meth:`_bulk_hops`."""
+        station's final SAT_TIMER restart is re-armed."""
         eng = self.engine
         net = self.net
         ti = int(t)
@@ -569,7 +409,8 @@ class BatchedKernel:
         if not replay:
             # deferred SAT_TIMER maintenance: every release restarted the
             # holder's watchdog, but only the final restart survives —
-            # re-arm once per station, in release order (see _bulk_hops)
+            # re-arm once per station, in release order, at the exact
+            # deadline the scalar path would have left armed
             rearms = sorted((R, i) for i, R in enumerate(final_release)
                             if R is not None)
             for R, i in rearms:

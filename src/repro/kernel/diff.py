@@ -165,13 +165,15 @@ def seeded_grid() -> List[Scenario]:
 
     Horizons are sized so the whole grid runs both kernels in well under a
     CI minute while still crossing many inline-batching and saturated-window
-    boundaries.  Every grid run is traced, so none of them fast-forwards.
+    boundaries.  Every grid run is traced, so its saturated windows run in
+    replay mode; the kernel-parity tests also run the grid with the trace
+    recorder off, where they run in bulk mode.
     """
     from repro.faults import FaultEvent, FaultSchedule
 
     grid: List[Scenario] = [
-        # pure quiescent circulation: traced, so inline batching runs it
-        # (fast-forward needs a run with no SAT subscriber)
+        # pure quiescent circulation: inline batching, every hop through
+        # the real SAT step
         Scenario(n=8, traffic=TrafficMix(kind="none"), horizon=4000, seed=11),
         # sparse Poisson: quiescent stretches interleaved with bursts
         Scenario(n=8, traffic=TrafficMix(kind="poisson", rate=0.01),
@@ -185,10 +187,11 @@ def seeded_grid() -> List[Scenario]:
         Scenario(n=6, traffic=TrafficMix(kind="video", period=80.0,
                                          neighbours_only=True),
                  horizon=2000, seed=14),
-        # saturated: fast-forward never fires, inline batching only
+        # saturated by a per-tick top-up hook, which keeps the saturated
+        # window off: inline batching only
         Scenario(n=6, l=2, k=1, traffic=TrafficMix(kind="saturate"),
                  horizon=1000, seed=15),
-        # RAP enabled (spontaneous RAP openings suppress fast-forward)
+        # RAP enabled (spontaneous RAP openings can act on any slot)
         Scenario(n=8, rap_enabled=True, use_channel=True,
                  traffic=TrafficMix(kind="poisson", rate=0.02),
                  horizon=2000, seed=16),
@@ -207,7 +210,7 @@ def seeded_grid() -> List[Scenario]:
                  faults=FaultSchedule([FaultEvent(time=500.0,
                                                   kind="drop_signal")]),
                  horizon=2000, seed=19),
-        # invariant checker subscribed to every tick (no fast-forward)
+        # invariant checker subscribed to every tick
         Scenario(n=6, traffic=TrafficMix(kind="poisson", rate=0.05),
                  check_invariants=True, horizon=1000, seed=20),
         # fractional horizon: the run window edge is off the slot grid
@@ -216,7 +219,7 @@ def seeded_grid() -> List[Scenario]:
     ]
     # voice sessions: call arrivals/teardowns scheduled at priority -1,
     # CAC refusals, a mid-run kill cutting calls — the QoE layer must not
-    # perturb fast-forward boundaries
+    # perturb inline-batching boundaries
     from repro.qoe.sessions import CallsSpec
     grid.append(
         Scenario(n=8, traffic=TrafficMix(kind="none"),

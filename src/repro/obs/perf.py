@@ -89,29 +89,6 @@ def bench_ring_tick_rate(quick: bool = False) -> float:
     return horizon / (time.perf_counter() - start)
 
 
-def bench_batched_tick_rate(quick: bool = False) -> float:
-    """Slot-ticks/sec of a 16-station WRT-Ring under the batched kernel.
-
-    The ring idles (SAT circulation only), no trace attached — the regime
-    the analytic fast-forward was built for, and the configuration where
-    its closed-form bulk path carries every skipped slot.  The acceptance
-    target is >= 10x ``ring_tick_rate``.
-    """
-    from repro.core import WRTRingConfig, WRTRingNetwork
-    from repro.kernel import install_batched_kernel
-    from repro.sim.engine import Engine
-
-    horizon = 50_000 if quick else 400_000
-    engine = Engine()
-    cfg = WRTRingConfig.homogeneous(range(16), l=2, k=2, rap_enabled=False)
-    net = WRTRingNetwork(engine, list(range(16)), cfg)
-    install_batched_kernel(net)
-    net.start()
-    start = time.perf_counter()
-    engine.run(until=horizon)
-    return horizon / (time.perf_counter() - start)
-
-
 def bench_saturated_slot_rate(quick: bool = False) -> float:
     """Slot-ticks/sec of a fully backlogged 32-station ring under the
     batched kernel's saturated path.
@@ -237,7 +214,6 @@ def bench_adaptive_recovery_rate(quick: bool = False) -> float:
 SUITE: Dict[str, Callable[[bool], float]] = {
     "kernel_step_rate": bench_kernel_step_rate,
     "ring_tick_rate": bench_ring_tick_rate,
-    "batched_tick_rate": bench_batched_tick_rate,
     "saturated_slot_rate": bench_saturated_slot_rate,
     "sweep_throughput": bench_sweep_throughput,
     "fuzz_case_rate": bench_fuzz_case_rate,

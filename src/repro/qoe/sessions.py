@@ -29,8 +29,8 @@ Determinism contract: call arrivals/holding times are pre-drawn from named
 RNG streams at construction and scheduled as engine events at priority -1
 (the fault-schedule priority, before the slot tick), endpoints are drawn
 at fire time from the then-current membership, and no tick hook is
-installed unless ``join_via_rap`` demands one — so the batched kernel's
-fast-forward stays effective through silences and both kernels replay the
+installed unless ``join_via_rap`` demands one — so a backlogged ring under
+the batched kernel keeps its saturated windows, and both kernels replay the
 same byte-identical event stream.
 """
 
@@ -251,7 +251,8 @@ class SessionManager:
             if not net.config.rap_enabled:
                 raise ValueError("calls.join_via_rap needs rap_enabled=True")
             # polling the requesters needs a tick hook; RAP mode already
-            # suppresses the batched fast-forward, so this costs nothing
+            # keeps the batched kernel's saturated window off, so this
+            # costs nothing
             net.add_tick_hook(self._poll_requesters)
 
     def _bind(self) -> None:

@@ -18,6 +18,7 @@ machinery exactly as a real fading link would.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -129,7 +130,7 @@ class Scenario:
     seed: int = 0
     traffic: TrafficMix = field(default_factory=TrafficMix)
     #: tick driver: "scalar" (reference, one agenda event per slot) or
-    #: "batched" (repro.kernel: inline slot batching + analytic fast-forward,
+    #: "batched" (repro.kernel: inline slot batching + saturated SAT windows,
     #: byte-identical outputs enforced by the kernel-parity harness)
     kernel: str = option("scalar", omit_default=True)
     #: opt-in RFC 6298 SAT timers (repro.core.adaptive): per-station
@@ -168,8 +169,9 @@ class Scenario:
             raise ValueError(f"need at least 2 stations, got {self.n}")
         if self.placement not in ("circle", "uniform"):
             raise ValueError(f"unknown placement {self.placement!r}")
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon!r}")
+        if not (self.horizon > 0 and math.isfinite(self.horizon)):
+            raise ValueError(
+                f"horizon must be finite and positive, got {self.horizon!r}")
         if self.range_margin <= 1.0 and self.placement == "circle":
             raise ValueError("range_margin must exceed 1 for a feasible circle ring")
 

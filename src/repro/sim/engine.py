@@ -24,12 +24,13 @@ live key as they surface; neither is an event and neither moves the clock.
 Cancellation is O(1) (entries are tombstoned), but tombstones do not linger:
 the engine counts dead entries and lazily compacts the heap when they
 outnumber the live ones, so :meth:`Engine.pending_count` is O(1) and
-:meth:`Engine.peek` reflects live events only — both are load-bearing for the
-batched kernel's quiescence test (see :mod:`repro.kernel`).
+:meth:`Engine.peek` reflects live events only — the batched kernel bounds its
+inline runs and saturated windows by it (see :mod:`repro.kernel`).
 
 NaN is not an event time: :meth:`Engine.schedule_at` and
 :meth:`Engine.reschedule_at` raise :class:`SchedulingError` for it and leave
-the agenda as it was.
+the agenda as it was, and :meth:`Engine.run` rejects a NaN ``until`` before
+it touches any state.
 """
 
 from __future__ import annotations
@@ -129,7 +130,8 @@ class Engine:
         #: slot-grid quantum for schedule-time snapping.  ``None`` (default)
         #: keeps exact float semantics; the ring sets it to its slot time so
         #: chained fractional delays cannot drift off the slot grid (which
-        #: would break the exact time comparisons fast-forward relies on).
+        #: would break the exact same-slot time comparisons both tick
+        #: drivers rely on).
         self.slot_quantum: Optional[float] = None
         #: the ``until`` bound of the currently executing :meth:`run`
         #: (``None`` outside run() or for an unbounded run)
@@ -290,7 +292,8 @@ class Engine:
 
         Only valid when no pending event lies strictly before ``time`` —
         advancing past live events would strand them in the past.  Used by
-        the batched kernel to jump over analytically quiescent stretches.
+        the batched kernel to step from one inline slot to the next and to
+        the hop times inside a saturated window.
         """
         if time < self.now:
             raise SchedulingError(
@@ -314,6 +317,8 @@ class Engine:
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
+        if until is not None and until != until:
+            raise SchedulingError("cannot run until NaN")
         if until is not None and until < self.now:
             raise SchedulingError(f"until={until!r} is in the past (now={self.now!r})")
         self._running = True

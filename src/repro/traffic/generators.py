@@ -257,7 +257,7 @@ class PrefillSource:
     silence — the drain-only regime of the saturated-path experiments.
 
     Unlike :class:`BacklogSource` this installs *no* per-tick hook, so the
-    batched kernel's analytic paths stay eligible while the queues drain.
+    batched kernel's saturated window stays eligible while the queues drain.
     The single burst runs as a priority ``-1`` agenda event (before the
     slot-0 tick body, after network start — the enqueues flow through the
     normal entry funnel and every subscriber sees them).

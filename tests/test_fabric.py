@@ -7,6 +7,7 @@ gateway buffers drained in canonical order at absolute barrier ticks.
 """
 
 import json
+import signal
 from dataclasses import replace
 
 import pytest
@@ -104,6 +105,30 @@ class TestTopology:
             GatewayLink(2, 0, 2, 1)
         with pytest.raises(ValueError):
             CrossFlow(src_ring=1, src_station=0, dst_ring=1, dst_station=2)
+        nan, inf = float("nan"), float("inf")
+        # barriers sit at k * sync_window: a zero, negative or NaN window
+        # fails inside run() and an infinite one never exchanges a frame
+        for window in (0.0, -1.0, nan, inf):
+            with pytest.raises(ValueError):
+                Topology(sync_window=window)
+        # a NaN horizon runs nothing and an infinite one never returns
+        for horizon in (nan, inf):
+            with pytest.raises(ValueError):
+                Topology(horizon=horizon)
+        # a cbr period <= 0 never moves the source past the current tick;
+        # a poisson rate <= 0 has no inter-arrival time
+        for period in (0.0, -5.0, nan):
+            with pytest.raises(ValueError):
+                CrossFlow(src_ring=0, src_station=0, dst_ring=1,
+                          dst_station=2, period=period)
+            with pytest.raises(ValueError):
+                Topology(flow_period=period)
+        for rate in (0.0, nan):
+            with pytest.raises(ValueError):
+                Topology(flow_kind="poisson", flow_rate=rate)
+        # only the parameter the flow's kind uses is checked
+        Topology(flow_kind="poisson", flow_period=0.0)
+        Topology(flow_kind="cbr", flow_rate=0.0)
 
     def test_dict_round_trip(self):
         topo = small_topology(frame_ttl=300.0, sync_window=64.0,
@@ -209,6 +234,30 @@ class TestFabricDeterminism:
         serial = run_fabric(topo, "serial")
         sharded = run_fabric(topo, "sharded")
         assert serial.trace_hash() == sharded.trace_hash()
+
+    def test_fractional_sync_window_reaches_horizon(self):
+        # 3 * 0.7 / 0.7 rounds just below 3: a next barrier derived from
+        # the clock lands back on the one just reached and run() never
+        # returns, so an alarm turns a hang into a failure
+        def hung(signum, frame):
+            raise TimeoutError("fabric run stuck short of its horizon")
+
+        topo = Topology(rings=2, cross_flows=1, horizon=5.0,
+                        sync_window=0.7)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with FabricRunner(topo, mode="serial") as runner:
+                runner.run()
+                assert runner.clock == 5.0
+                assert runner.barriers == 7    # 0.7, 1.4, ..., 4.9
+                serial = runner.result(include_trace=True)
+            sharded = run_fabric(topo, "sharded")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert sharded.trace_hash() == serial.trace_hash()
+        assert sharded.clock == 5.0
 
     def test_frame_conservation(self):
         for topo in (small_topology(),

@@ -1,5 +1,5 @@
-"""Unit tests for the batched kernel: hop planning, fast-forward
-boundaries, saturated windows, and budget/stop interactions.
+"""Unit tests for the batched kernel: inline batching over quiescent
+stretches, saturated windows, and budget/stop interactions.
 
 The differential suite (test_kernel_parity.py) proves whole-run equivalence;
 these tests pin the individual mechanisms — so a parity failure elsewhere can
@@ -13,7 +13,7 @@ import pytest
 from repro.core import (Packet, QuotaConfig, ServiceClass, WRTRingConfig,
                         WRTRingNetwork)
 from repro.events.types import SatRelease
-from repro.kernel import BatchedKernel, hop_plan, install_batched_kernel
+from repro.kernel import install_batched_kernel
 from repro.sim import Engine
 
 
@@ -63,33 +63,11 @@ def timer_deadlines(net):
             for sid, t in net.recovery.timers.items()}
 
 
-# ======================================================================
-class TestHopPlan:
-    """hop_plan's closed-form visit counts vs a brute-force walk that
-    starts at ring position ``i1`` (offset ``d`` is position
-    ``(i1 + d) % n``, as the kernel maps it)."""
-
-    @pytest.mark.parametrize("n,i1,K", [
-        (1, 0, 1), (1, 0, 7),
-        (3, 0, 1), (3, 2, 2), (3, 1, 9),
-        (5, 0, 5), (5, 3, 17), (5, 4, 4),
-        (16, 7, 1000), (16, 0, 16), (16, 15, 15),
-    ])
-    def test_matches_brute_force(self, n, i1, K):
-        brute_counts = [0] * n
-        brute_last = [-1] * n
-        for j in range(K):
-            pos = (i1 + j) % n
-            brute_counts[pos] += 1
-            brute_last[pos] = j
-        plan = hop_plan(n, K)
-        assert len(plan) == n
-        by_pos = {(i1 + d) % n: visit for d, visit in enumerate(plan)}
-        assert [by_pos[p][0] for p in range(n)] == brute_counts
-        assert [by_pos[p][1] for p in range(n)] == brute_last
-
-    def test_total_visits_is_k(self):
-        assert sum(count for count, _ in hop_plan(7, 123)) == 123
+def assert_batched(be, se):
+    """Parity cannot tell inline batching from one agenda event per slot
+    (both are byte-identical); the engines' dispatch counts can."""
+    assert be.events_executed * 10 <= se.events_executed, (
+        be.events_executed, se.events_executed)
 
 
 # ======================================================================
@@ -160,15 +138,19 @@ class TestInstallation:
 
 
 # ======================================================================
-class TestFastForward:
-    def test_idle_ring_fast_forwards(self):
-        engine, net = make_net(8)
-        kern = install_batched_kernel(net)
-        net.start()
-        engine.run(until=5000.0)
-        assert kern.ff_jumps > 0
-        assert kern.ff_slots_skipped > 0
-        assert engine.now == 5000.0
+class TestInlineBatching:
+    """Quiescent stretches run slot by slot inside one agenda dispatch:
+    the same ``_tick_body`` and ``_sat_step`` calls the scalar driver
+    makes, with each SAT hop at its real time."""
+
+    def test_idle_ring_batches_inline(self):
+        (se, sn), (be, bn, kern) = make_pair(8)
+        sn.start(); bn.start()
+        se.run(until=5000.0); be.run(until=5000.0)
+        # one tick event per slot against one dispatch for the whole run
+        assert se.events_executed == 5001
+        assert be.events_executed == 1
+        assert be.now == 5000.0
 
     def test_idle_parity_with_scalar(self):
         (se, sn), (be, bn, kern) = make_pair(8)
@@ -182,13 +164,13 @@ class TestFastForward:
         (se, sn), (be, bn, kern) = make_pair(6, sat_hop_slots=3)
         sn.start(); bn.start()
         se.run(until=4000.0); be.run(until=4000.0)
-        assert kern.ff_jumps > 0
+        assert_batched(be, se)
         assert snapshot(bn) == snapshot(sn)
         assert timer_deadlines(bn) == timer_deadlines(sn)
 
     def test_jump_never_crosses_pending_event(self):
-        # an agenda event mid-gap (a traffic arrival) bounds every jump:
-        # the skipped range must end strictly before it
+        # an agenda event mid-gap (a traffic arrival) ends the inline run:
+        # it fires at its own time, before the next slot body
         engine, net = make_net(6)
         kern = install_batched_kernel(net)
         seen = []
@@ -225,52 +207,48 @@ class TestFastForward:
 
     def test_resume_across_run_chunks(self):
         # state must survive run() returning and being called again —
-        # the pending tick left behind by a jump is where scalar would be
+        # the pending tick an inline run leaves behind is where scalar
+        # would be
         (se, sn), (be, bn, kern) = make_pair(6)
         sn.start(); bn.start()
         for upto in (300.0, 301.0, 950.5, 2000.0):
             se.run(until=upto); be.run(until=upto)
             assert snapshot(bn) == snapshot(sn), f"diverged at until={upto}"
 
-    def test_sat_subscriber_keeps_fast_forward_off(self):
-        # every traced run has one: its quiescent stretches take inline
-        # batching, so each hop's events fire at the real hop time
+    def test_sat_subscriber_sees_every_hop_at_its_time(self):
+        # every traced run has one: each hop's events fire at the real hop
+        # time, inside the batched dispatch
         (se, sn), (be, bn, kern) = make_pair(8)
+        releases = []
         for eng, net in ((se, sn), (be, bn)):
-            releases = []
-            net.events.subscribe(SatRelease, releases.append)
+            times = []
+            net.events.subscribe(SatRelease, lambda ev, times=times:
+                                 times.append(ev.t))
             net.start()
             eng.run(until=3000.0)
-            assert releases
-        assert kern.ff_jumps == 0
+            releases.append(times)
+        assert releases[0]
+        assert releases[1] == releases[0]
+        assert_batched(be, se)
         assert snapshot(bn) == snapshot(sn)
 
-    def test_adaptive_timers_keep_fast_forward_off(self):
-        nets = []
+    def test_adaptive_timers_parity(self):
+        engines, nets = [], []
         for batched in (False, True):
             engine = Engine()
             cfg = WRTRingConfig.homogeneous(range(8), l=2, k=2,
                                             rap_enabled=False)
             net = WRTRingNetwork(engine, list(range(8)), cfg,
                                  adaptive_timers=True)
-            kern = install_batched_kernel(net) if batched else None
+            if batched:
+                install_batched_kernel(net)
             net.start()
             engine.run(until=3000.0)
+            engines.append(engine)
             nets.append(net)
-        assert kern.ff_jumps == 0
+        assert_batched(engines[1], engines[0])
         assert snapshot(nets[1]) == snapshot(nets[0])
         assert timer_deadlines(nets[1]) == timer_deadlines(nets[0])
-
-    def test_saturated_ring_never_fast_forwards(self):
-        engine, net = make_net(4, l=1, k=1)
-        kern = install_batched_kernel(net)
-        net.start()
-        for sid in range(4):
-            for _ in range(3):
-                net.enqueue(pkt(sid, (sid + 1) % 4,
-                                service=ServiceClass.BEST_EFFORT))
-        engine.run(until=5.0)
-        assert kern.ff_jumps == 0
 
 
 # ======================================================================
@@ -299,9 +277,10 @@ def prefill_successor(net, rt=0, be=0, deadline=None):
 
 class TestSaturatedWindow:
     """The saturated path in trace-off bulk mode: whole SAT windows
-    advanced analytically, byte-identical to the scalar kernel.  (Replay
-    mode — every tracing run — is pinned by the parity grid's saturated
-    scenarios, seeds 23-25, and by TestSaturatedReplayTripwire.)"""
+    advanced analytically, byte-identical to the scalar kernel.  (The
+    parity grid's saturated scenarios, seeds 23-25, run both modes: replay
+    traced and bulk with the recorder off; TestSaturatedReplayTripwire
+    pins replay's hand-back.)"""
 
     def test_bulk_window_matches_scalar(self):
         (se, sn), (be, bn, kern) = make_pair(6, l=2, k=1)
@@ -313,6 +292,8 @@ class TestSaturatedWindow:
         assert kern.sat_slots > 100
         assert snapshot(bn) == snapshot(sn)
         assert metrics_state(bn) == metrics_state(sn)
+        # bulk mode re-arms each watchdog once, after the window
+        assert timer_deadlines(bn) == timer_deadlines(sn)
 
     def test_deadline_classification_matches_scalar(self):
         # tight deadlines so the analytic window classifies misses
@@ -323,6 +304,7 @@ class TestSaturatedWindow:
         se.run(until=400.0); be.run(until=400.0)
         assert kern.sat_windows > 0
         assert snapshot(bn) == snapshot(sn)
+        assert timer_deadlines(bn) == timer_deadlines(sn)
         state = metrics_state(bn)
         assert state == metrics_state(sn)
         assert state["deadlines"][1] > 0, "no misses; test is vacuous"
@@ -338,16 +320,18 @@ class TestSaturatedWindow:
         engine.run(until=300.0)
         assert kern.sat_windows == 0
 
-    def test_drained_ring_hands_back_to_fast_forward(self):
-        # after the backlog drains, the quiescent fast-forward takes over
-        engine, net = make_net(6, l=2, k=1)
-        kern = install_batched_kernel(net)
-        net.start()
-        prefill_successor(net, rt=5, be=3)
-        engine.run(until=2000.0)
+    def test_drained_ring_hands_back_to_inline_batching(self):
+        # after the backlog drains, the idle ring runs on in inline
+        # batching
+        (se, sn), (be, bn, kern) = make_pair(6, l=2, k=1)
+        for net in (sn, bn):
+            net.start()
+            prefill_successor(net, rt=5, be=3)
+        se.run(until=2000.0); be.run(until=2000.0)
         assert kern.sat_windows > 0
-        assert kern.ff_jumps > 0
-        assert net.metrics.total_delivered == 6 * 8
+        assert bn.metrics.total_delivered == 6 * 8
+        assert_batched(be, se)
+        assert snapshot(bn) == snapshot(sn)
 
 
 class TestSaturatedReplayTripwire:
@@ -429,10 +413,10 @@ class TestBudgetAndStop:
 
     def test_jump_clock_is_exact_after_ff(self):
         engine, net = make_net(8)
-        kern = install_batched_kernel(net)
+        install_batched_kernel(net)
         net.start()
         engine.run(until=3000.0)
-        assert kern.ff_jumps > 0
+        assert engine.events_executed == 1   # one inline run to the edge
         assert float(engine.now).is_integer() or engine.now == 3000.0
         assert engine.now == 3000.0
         # the SAT's bookkeeping is still on the hop lattice

@@ -16,12 +16,25 @@ import pytest
 
 from repro.fuzz.bundle import load_bundle
 from repro.fuzz.generate import FuzzCase, generate_case
-from repro.kernel.diff import diff_fuzz_case, diff_scenario, seeded_grid
-from repro.scenarios import run_scenario
+from repro.kernel.diff import (_compare_runs, diff_fuzz_case, diff_scenario,
+                               seeded_grid)
+from repro.scenarios import build_scenario, run_scenario
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 GRID = seeded_grid()
+GRID_IDS = [f"seed{s.seed}-{s.traffic.kind}" for s in GRID]
+
+
+def run_untraced(scenario, kernel):
+    """Run ``scenario`` on ``kernel`` with the trace recorder off, as a
+    ``trace=False`` fabric shard does: no SAT event has a subscriber, so
+    saturated windows run in bulk mode."""
+    result = build_scenario(replace(scenario, kernel=kernel))
+    result.trace.enable_only(())
+    result.network._trace_adapter.refresh(result.network.events)
+    result.engine.run(until=scenario.horizon)
+    return result
 
 
 class TestCorpusParity:
@@ -43,22 +56,42 @@ class TestSeededGridParity:
     """The pinned scenario grid covers one regime per protocol feature:
     idle rings, sparse/periodic/bursty traffic, saturation, RAP joins,
     kills, leaves, SAT loss, invariant checkers, and off-grid run
-    windows."""
+    windows.  Every point runs traced and with the trace recorder off."""
 
-    @pytest.mark.parametrize("idx", range(len(GRID)),
-                             ids=[f"seed{s.seed}-{s.traffic.kind}"
-                                  for s in GRID])
+    @pytest.mark.parametrize("idx", range(len(GRID)), ids=GRID_IDS)
     def test_grid_point_parity(self, idx):
         diff = diff_scenario(GRID[idx], label=f"grid[{idx}]")
         assert diff.ok, diff.describe()
 
-    @pytest.mark.parametrize("seed", (23, 24, 25))
-    def test_saturated_points_engage_windows(self, seed):
+    @pytest.mark.parametrize("idx", range(len(GRID)), ids=GRID_IDS)
+    def test_grid_point_parity_untraced(self, idx):
+        # the trace-off regimes: quiescent stretches with no SAT
+        # subscriber, and saturated windows in bulk mode
+        scenario = GRID[idx]
+        diff = _compare_runs(f"untraced grid[{idx}]",
+                             run_untraced(scenario, "scalar"),
+                             run_untraced(scenario, "batched"))
+        assert diff.ok, diff.describe()
+
+    @pytest.mark.parametrize("seed,traced", [
+        (23, True), (24, True), (25, True),
+        (23, False), (24, False), (25, False)],
+        ids=["23", "24", "25", "23-untraced", "24-untraced", "25-untraced"])
+    def test_saturated_points_engage_windows(self, seed, traced):
         # parity alone cannot tell a window that engaged from one that
         # fell back to slot-by-slot ticking: both are byte-identical
         scenario = next(s for s in GRID if s.seed == seed)
-        result = run_scenario(replace(scenario, kernel="batched"))
-        assert result.network.tick_driver.__self__.sat_windows > 0
+        if traced:
+            result = run_scenario(replace(scenario, kernel="batched"))
+        else:
+            result = run_untraced(scenario, "batched")
+        net = result.network
+        assert net.tick_driver.__self__.sat_windows > 0
+        # a window replays the real SAT step exactly when a SAT event
+        # has a subscriber; the trace-off run takes the bulk mode
+        sat_subscribed = bool(net._ev_sat_release or net._ev_sat_rotation
+                              or net._ev_sat_arrive or net._ev_sat_hold)
+        assert sat_subscribed == traced
 
 
 class TestFabricKernelParity:

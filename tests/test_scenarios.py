@@ -20,6 +20,10 @@ class TestValidation:
             Scenario(placement="moon")
         with pytest.raises(ValueError):
             Scenario(horizon=0)
+        # a run to a NaN or infinite horizon never returns
+        for horizon in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                Scenario(horizon=horizon)
         with pytest.raises(ValueError):
             Scenario(range_margin=0.9)
 

@@ -406,6 +406,22 @@ class TestNaNTimes:
         assert self._agenda(eng) == before
         assert h.time == 5.0 and not h.cancelled
 
+    @pytest.mark.parametrize("make", [_bare_engine, _ring_engine],
+                             ids=["bare", "ring"])
+    def test_run_rejects_nan_until(self, make):
+        # NaN compares false with every event time, so unchecked it acts
+        # as an unbounded run (the budget keeps that failure finite)
+        eng = make()
+        for t in (5.0, 50.0):
+            eng.schedule_at(t, lambda: None)
+        before = self._agenda(eng)
+        with pytest.raises(SchedulingError):
+            eng.run(until=self.NAN, max_events=1000)
+        assert self._agenda(eng) == before
+        # nothing was left half-started: a bounded run still works
+        eng.run(until=60.0)
+        assert eng.now == 60.0
+
 
 class TestAdvanceTo:
     def test_advance_to_moves_clock(self):
