@@ -151,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("--check-invariants", key="check_invariants", nargs=0, const=True)
     add("--kernel", key="kernel", choices=["scalar", "batched"],
         help="tick driver: 'scalar' (reference, one event per slot) or "
-             "'batched' (inline slot batching + saturated SAT windows; "
-             "byte-identical output, see docs/KERNEL.md)")
+             "'batched' (the same ticks plus closed-form saturated SAT "
+             "windows; byte-identical output, see docs/KERNEL.md)")
     add("--adaptive-timers", key="adaptive_timers", nargs=0, const=True,
         help="arm SAT_TIMERs from an RFC 6298 SRTT/RTTVAR estimator over "
              "observed rotations (ceilinged at the Theorem-1 bound) instead "
@@ -204,8 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     fab.add_argument("--mode", choices=["serial", "sharded"],
                      default="serial")
     add("--kernel", key="kernel", choices=["scalar", "batched"],
-        help="per-ring tick driver (see docs/KERNEL.md) for every shard, "
-             "in place of the topology's kernel key")
+        help="per-ring tick driver for every shard, in place of the "
+             "topology's kernel key (a fabric ring never opens a saturated "
+             "window, so both give the same run; see docs/KERNEL.md)")
     fab.add_argument("--parity", action="store_true",
                      help="run BOTH modes and verify byte-identical merged "
                           "traces and tables")
@@ -444,8 +445,7 @@ def _run_observed(scenario, timeline: Optional[str],
     payload["elapsed_s"] = round(run_report.get("total_s", 0.0), 6)
     payload["events_per_s"] = round(run_report.get("events_per_s", 0.0), 1)
     if registry is not None:
-        if subscriber is not None:
-            subscriber.flush()
+        subscriber.flush()
         payload["metrics"] = registry.snapshot()
     if timeline:
         count = export_timeline(timeline, built.trace, profiler,

@@ -152,9 +152,10 @@ class WRTRingNetwork:
         self.network_down = False
         self.started = False
         self._tick_handle = None
-        #: alternative tick callback (installed by the batched kernel before
-        #: :meth:`start`); ``None`` runs the reference scalar :meth:`_tick`
-        self.tick_driver: Optional[Callable[[], None]] = None
+        #: ``(t) -> next tick time``, asked by :meth:`_tick` after each slot
+        #: (the batched kernel installs one before :meth:`start`); ``None``
+        #: ticks every slot at ``t + 1``
+        self.tick_driver: Optional[Callable[[float], float]] = None
         #: rebuilt (never mutated) on add/remove, so a hook that removes
         #: itself mid-tick cannot make the running loop skip the next one
         self._tick_hooks: Tuple[Callable[[float], None], ...] = ()
@@ -279,8 +280,7 @@ class WRTRingNetwork:
         self.sat.at_station = first
         self.stations[first].on_sat_arrival(self.engine.now)
         self.recovery.arm_all()
-        driver = self.tick_driver if self.tick_driver is not None else self._tick
-        self._tick_handle = self.engine.schedule(0.0, driver, priority=5)
+        self._tick_handle = self.engine.schedule(0.0, self._tick, priority=5)
 
     def stop(self) -> None:
         if self._tick_handle is not None:
@@ -465,15 +465,15 @@ class WRTRingNetwork:
     def _tick(self) -> None:
         t = self.engine.now
         if self._tick_body(t):
-            self._tick_handle = self.engine.schedule(1.0, self._tick, priority=5)
+            nxt = t + 1.0 if self.tick_driver is None else self.tick_driver(t)
+            self._tick_handle = self.engine.schedule_at(nxt, self._tick,
+                                                        priority=5)
 
     def _tick_body(self, t: float) -> bool:
         """One slot's worth of protocol work at time ``t``.
 
         Returns False when the network is down (no further ticks should be
-        scheduled).  Split out from :meth:`_tick` so an alternative tick
-        driver (see :mod:`repro.kernel`) can run slot bodies without going
-        through the agenda for every slot.
+        scheduled).
         """
         for hook in self._tick_hooks:
             hook(t)

@@ -30,6 +30,7 @@ reports) ever contains a ``Packet.pid`` or other process-local identity.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -307,6 +308,8 @@ class FabricRunner:
         """Advance the whole fabric to ``until`` (default: the horizon)."""
         if until is None:
             until = self.topology.horizon
+        if not math.isfinite(until):
+            raise ValueError(f"until must be finite, got {until!r}")
         if until < self.clock:
             raise ValueError(f"until={until} is in the past "
                              f"(fabric clock {self.clock})")

@@ -117,7 +117,7 @@ class RingShard:
         if observe:
             from repro.obs.integrate import attach_network_metrics
             from repro.obs.registry import MetricsRegistry
-            self.registry = MetricsRegistry(enabled=True)
+            self.registry = MetricsRegistry()
             attach_network_metrics(self.net, self.registry)
 
     def _bind_emitters(self) -> None:

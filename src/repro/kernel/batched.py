@@ -1,29 +1,22 @@
-"""Batched stepping driver: inline slot batching and saturated windows.
+"""Batched tick driver: the scalar tick plus closed-form saturated windows.
 
-The scalar reference path schedules one agenda event per slot.
-:class:`BatchedKernel` replaces the tick *driver* (not the protocol): one
-agenda callback advances many slots inline, and fully backlogged stretches
-are advanced a whole SAT window at a time.
+The ring ticks once per slot through ``WRTRingNetwork._tick`` under either
+kernel; after each slot it asks the installed ``tick_driver(t)`` for its
+next tick time.  :class:`BatchedKernel` answers ``t + 1`` (the scalar
+schedule) unless the slots ahead form a *saturated window* — every member
+backlogged with successor-addressed traffic, nothing else armed.  Such a
+window is closed-form: each station's residual quota budgets
+(``QuotaConfig.send_schedule``) make its sends consecutive, so SAT holds and
+releases follow from them and the whole window is applied from one merged
+event list (``_saturated_run``; the ``saturated_slot_rate`` benchmark's
+regime).  The next tick is then the slot after the window.
 
-Equivalence is structural, not aspirational:
+Runs driven with ``max_events`` budgets, or stopping, never open a window,
+so budget chunk boundaries keep their scalar meaning.
 
-* Slots run the *same* ``WRTRingNetwork._tick_body`` as the scalar path, in
-  the same order, at the same times; the only difference is how the next
-  slot is reached (``Engine.advance_to`` instead of a heap push/pop per
-  slot).  Quiescent stretches take this path too: every SAT hop runs the
-  real ``_sat_step`` at its real time.
-* The saturated regime — every member backlogged with successor-addressed
-  traffic, nothing else armed — is closed-form: each station's residual
-  quota budgets (``QuotaConfig.send_schedule``) make its sends consecutive,
-  so SAT holds and releases follow from them and a whole window of slots
-  is applied from one merged event list (``_saturated_run``; the
-  ``saturated_slot_rate`` benchmark's regime).
-* Runs driven with ``max_events`` budgets fall back to exactly one slot per
-  agenda event so budget chunk boundaries keep their scalar meaning.
-
-``events_executed`` is the one engine statistic allowed to differ (fewer
-agenda dispatches is the whole point); every protocol-visible output —
-traces, tables, summaries — must match byte for byte.  See docs/KERNEL.md.
+``events_executed`` differs from the scalar kernel only where a window
+opened; every protocol-visible output — traces, tables, summaries — matches
+byte for byte.  See docs/KERNEL.md.
 """
 
 from __future__ import annotations
@@ -74,10 +67,10 @@ class BatchedKernel:
         self._dataplane_private = False
         #: adaptive SAT timers change state on every hop (estimator samples,
         #: re-armed deadlines), so every hop must run through the real
-        #: ``_sat_step`` at its real time: the saturated analytic path,
-        #: whose inline sends run *ahead* of engine time, stays off
+        #: ``_sat_step`` at its real time: the saturated window, whose
+        #: sends run *ahead* of engine time, stays off
         self._adaptive = bool(getattr(net, "adaptive_timers", False))
-        net.tick_driver = self._drive
+        net.tick_driver = self._next_tick
         bus = net.events
         bus.subscribe(PacketEnqueued, self._on_packet_in)
         bus.subscribe(SlotDeliver, self._on_packet_out)
@@ -114,29 +107,15 @@ class BatchedKernel:
     # ------------------------------------------------------------------
     # the tick driver
     # ------------------------------------------------------------------
-    def _drive(self) -> None:
-        """One agenda dispatch: run slot bodies inline until an agenda event
-        (timer, traffic arrival, fault), the run window edge, or a budget
-        boundary forces control back to the engine loop."""
-        net = self.net
+    def _next_tick(self, t: float) -> float:
+        """The ring's next tick time after its slot at ``t``: the slot after
+        a saturated window when one opens here, ``t + 1`` otherwise."""
         eng = self.engine
-        while True:
-            t = eng.now
-            if not net._tick_body(t):
-                return  # network down: no further ticks (scalar behaviour)
-            nxt = t + 1.0
-            until = eng.run_until
-            if (until is not None and not eng.run_budgeted
-                    and not eng.stopped and self._saturated(t)):
-                nxt = self._saturated_run(t, until)
-            if eng.stopped or eng.run_budgeted or (until is not None
-                                                   and nxt > until):
-                break
-            pending = eng.peek()
-            if pending is not None and pending <= nxt:
-                break
-            eng.advance_to(nxt)
-        net._tick_handle = eng.schedule_at(nxt, self._drive, priority=5)
+        until = eng.run_until
+        if (until is not None and not eng.run_budgeted
+                and not eng.stopped and self._saturated(t)):
+            return self._saturated_run(t, until)
+        return t + 1.0
 
     # ------------------------------------------------------------------
     # saturated regime
@@ -151,11 +130,11 @@ class BatchedKernel:
         scan runs only when everything else already passed."""
         net = self.net
         if self._adaptive:
-            # the saturated walk applies sends inline *ahead* of engine
-            # time; a mid-window bail back to scalar ticking would replay
-            # them.  Sound only because non-adaptive SAT steps cannot move
-            # timer deadlines into the window — adaptive ones can, so the
-            # regime runs slot-by-slot (still byte-identical, just slower)
+            # the saturated walk applies sends *ahead* of engine time; a
+            # mid-window bail back to scalar ticking would replay them.
+            # Sound only because non-adaptive SAT steps cannot move timer
+            # deadlines into the window — adaptive ones can, so the regime
+            # runs on the scalar schedule
             return False
         if self.buffered <= 0 or not self._dataplane_private:
             return False
@@ -222,7 +201,7 @@ class BatchedKernel:
         sends before the slot's SAT step — and never touches live state.
 
         Phase 2 *applies* the list in slot order.  Sends are always applied
-        inline (the gate proved metrics + the buffered counter are the only
+        directly (the gate proved metrics + the buffered counter are the only
         consumers, and every packet is one hop from home).  SAT steps run
         in one of two modes: while any SAT emitter has a subscriber the
         real ``_sat_step`` runs at the real hop time (byte-identical event

@@ -15,9 +15,10 @@ tick drivers and diffs everything observable:
   job sweeps: idle rings, Poisson/CBR/video/backlogged traffic, RAP joins,
   scripted kills and rebuilds, invariant checkers on and off.
 
-``events_executed`` is excluded everywhere: the batched driver dispatches
-fewer agenda events by design (that is the speedup), and the count was never
-part of the protocol's observable behaviour.
+``events_executed`` is compared too, unless the batched run opened a
+saturated window: both kernels tick on one schedule, and only a window
+(one tick for the many slots it covers) dispatches fewer agenda events.  The
+count was never part of the protocol's observable behaviour.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ def _canonical(value: Any) -> str:
     return json.dumps(value, sort_keys=True, default=str)
 
 
-def _strip_events_executed(record: Dict[str, Any]) -> Dict[str, Any]:
-    return {k: v for k, v in record.items() if k != "events_executed"}
+def _sat_windows(result: ScenarioResult) -> int:
+    """Saturated windows the batched run opened."""
+    return result.network.tick_driver.__self__.sat_windows
 
 
 def station_table(result: ScenarioResult) -> Dict[str, Any]:
@@ -107,8 +109,7 @@ def _compare_runs(label: str, scalar: ScenarioResult,
                 diff.mismatches.append(f"first trace divergence: "
                                        f"scalar {key_s} vs batched {key_b}")
                 break
-    summary_s = _strip_events_executed(scalar.summary())
-    summary_b = _strip_events_executed(batched.summary())
+    summary_s, summary_b = scalar.summary(), batched.summary()
     if _canonical(summary_s) != _canonical(summary_b):
         for key in sorted(set(summary_s) | set(summary_b)):
             left = _canonical(summary_s.get(key))
@@ -127,6 +128,11 @@ def _compare_runs(label: str, scalar: ScenarioResult,
     if scalar.engine.now != batched.engine.now:
         diff.mismatches.append(f"final clock: scalar {scalar.engine.now!r} "
                                f"vs batched {batched.engine.now!r}")
+    events_s = scalar.engine.events_executed
+    events_b = batched.engine.events_executed
+    if events_s != events_b and not _sat_windows(batched):
+        diff.mismatches.append(f"events_executed with no saturated window: "
+                               f"scalar {events_s} vs batched {events_b}")
     return diff
 
 
@@ -140,15 +146,19 @@ def diff_scenario(scenario: Scenario, label: str = "scenario") -> KernelDiff:
 
 def diff_fuzz_case(case, label: str = "case") -> KernelDiff:
     """Replay a fuzz case (drive chunks, probes, oracles) under both kernels
-    and diff the full result records (minus ``events_executed``)."""
+    and diff the full result records (minus ``events_executed`` where a
+    saturated window opened)."""
     from repro.fuzz.runner import run_case
 
-    def run(kernel: str) -> Dict[str, Any]:
+    def run(kernel: str):
         variant = replace(case, scenario=dict(case.scenario, kernel=kernel))
-        return _strip_events_executed(run_case(variant).to_record())
+        return run_case(variant)
 
     diff = KernelDiff(label)
-    record_s, record_b = run("scalar"), run("batched")
+    scalar, batched = run("scalar"), run("batched")
+    record_s, record_b = scalar.to_record(), batched.to_record()
+    if _sat_windows(batched.built):
+        del record_s["events_executed"], record_b["events_executed"]
     if _canonical(record_s) != _canonical(record_b):
         for key in sorted(set(record_s) | set(record_b)):
             left = _canonical(record_s.get(key))
@@ -164,16 +174,16 @@ def seeded_grid() -> List[Scenario]:
     """The pinned parity grid: one scenario per protocol regime.
 
     Horizons are sized so the whole grid runs both kernels in well under a
-    CI minute while still crossing many inline-batching and saturated-window
-    boundaries.  Every grid run is traced, so its saturated windows run in
-    replay mode; the kernel-parity tests also run the grid with the trace
-    recorder off, where they run in bulk mode.
+    CI minute while still crossing many saturated-window boundaries.  Every
+    grid run is traced, so its saturated windows run in replay mode; the
+    kernel-parity tests also run the grid with the trace recorder off,
+    where they run in bulk mode.
     """
     from repro.faults import FaultEvent, FaultSchedule
 
     grid: List[Scenario] = [
-        # pure quiescent circulation: inline batching, every hop through
-        # the real SAT step
+        # pure quiescent circulation: never saturated, so both kernels
+        # run the same tick schedule
         Scenario(n=8, traffic=TrafficMix(kind="none"), horizon=4000, seed=11),
         # sparse Poisson: quiescent stretches interleaved with bursts
         Scenario(n=8, traffic=TrafficMix(kind="poisson", rate=0.01),
@@ -188,7 +198,7 @@ def seeded_grid() -> List[Scenario]:
                                          neighbours_only=True),
                  horizon=2000, seed=14),
         # saturated by a per-tick top-up hook, which keeps the saturated
-        # window off: inline batching only
+        # window off: the scalar schedule only
         Scenario(n=6, l=2, k=1, traffic=TrafficMix(kind="saturate"),
                  horizon=1000, seed=15),
         # RAP enabled (spontaneous RAP openings can act on any slot)
@@ -219,7 +229,7 @@ def seeded_grid() -> List[Scenario]:
     ]
     # voice sessions: call arrivals/teardowns scheduled at priority -1,
     # CAC refusals, a mid-run kill cutting calls — the QoE layer must not
-    # perturb inline-batching boundaries
+    # perturb the tick schedule
     from repro.qoe.sessions import CallsSpec
     grid.append(
         Scenario(n=8, traffic=TrafficMix(kind="none"),
@@ -257,9 +267,9 @@ def seeded_grid() -> List[Scenario]:
                                                   station=77,
                                                   params={"after": 2})]),
                  horizon=900, seed=25),
-        # adaptive timers over sparse Poisson: long quiescent stretches run
-        # by inline batching, every hop through the real SAT step feeding
-        # the estimator and re-arming the watchdogs at adaptive deadlines
+        # adaptive timers over sparse Poisson: long quiescent stretches,
+        # every hop through the real SAT step feeding the estimator and
+        # re-arming the watchdogs at adaptive deadlines
         Scenario(n=8, adaptive_timers=True,
                  traffic=TrafficMix(kind="poisson", rate=0.01),
                  horizon=3000, seed=26),

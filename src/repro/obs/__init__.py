@@ -4,8 +4,7 @@ the perf-trajectory store.
 Four layers (see docs/OBSERVABILITY.md):
 
 * :mod:`repro.obs.registry` — counters / gauges / windowed histograms with
-  labeled series; near-zero overhead when disabled (the protocol holds
-  no-op instruments);
+  labeled series, fed by a subscriber on the network's event bus;
 * :mod:`repro.obs.profile` — wall-clock spans around the engine hot loop,
   campaign workers and fuzz cases, aggregated into a per-run perf report;
 * :mod:`repro.obs.timeline` — renders protocol traces (SAT holds, RAP
@@ -16,14 +15,14 @@ Four layers (see docs/OBSERVABILITY.md):
   Imported lazily (``from repro.obs import perf``): it pulls in the
   campaign and fuzz stacks, which the core layers must not.
 
-Everything is off by default: unobserved runs pay one ``None`` check per
-``Engine.run`` call and no-op instrument calls on the ring's event paths.
+Everything is off by default: an unobserved run subscribes nothing, so it
+pays one ``None`` check per ``Engine.run`` call and the ring's emit sites
+keep their no-op emitters.
 """
 
 from repro.obs.integrate import attach_network_metrics, attach_run_profiling
-from repro.obs.profile import NullProfiler, Profiler, Span
-from repro.obs.registry import (NULL_INSTRUMENT, NULL_REGISTRY, Counter,
-                                Gauge, Histogram, MetricsError,
+from repro.obs.profile import Profiler, Span
+from repro.obs.registry import (Counter, Gauge, Histogram, MetricsError,
                                 MetricsRegistry)
 from repro.obs.timeline import (TIMELINE_CATEGORIES, build_timeline,
                                 enable_timeline_categories, export_timeline)
@@ -34,10 +33,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "NULL_INSTRUMENT",
-    "NULL_REGISTRY",
     "Profiler",
-    "NullProfiler",
     "Span",
     "TIMELINE_CATEGORIES",
     "enable_timeline_categories",

@@ -211,19 +211,15 @@ class NetworkMetricsSubscriber:
 
 
 def attach_network_metrics(net, registry,
-                           sample_every: int = 100) -> Optional[NetworkMetricsSubscriber]:
+                           sample_every: int = 100) -> NetworkMetricsSubscriber:
     """Subscribe ``registry`` to ``net.events``.
 
     ``sample_every`` is the sampling period in slots for the per-station
     gauges (queue depths, membership); the event-driven instruments
     (deliveries, losses, rotations, recoveries) are exact regardless.
-    A disabled registry subscribes nothing — the network's emit sites keep
-    their no-op emitters, so an unobserved run pays nothing.
     """
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-    if not registry.enabled:
-        return None
     return NetworkMetricsSubscriber(net, registry, sample_every).attach(net.events)
 
 

@@ -15,8 +15,7 @@ Two recording styles:
   does this so the profiling cost is two clock reads per ``run()`` call,
   nothing per event).
 
-:class:`NullProfiler` is the disabled stand-in: same API, records nothing.
-Pass ``profiler=None`` to integration points for true zero cost — they keep
+Pass ``profiler=None`` to integration points to record nothing — they keep
 a ``None`` check on the cold side of the hot loop.
 """
 
@@ -25,9 +24,9 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List
 
-__all__ = ["Span", "Profiler", "NullProfiler"]
+__all__ = ["Span", "Profiler"]
 
 
 @dataclass
@@ -51,8 +50,6 @@ class Span:
 
 class Profiler:
     """Collects :class:`Span` records and aggregates them."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self.spans: List[Span] = []
@@ -120,17 +117,3 @@ class Profiler:
 
     def __len__(self) -> int:
         return len(self.spans)
-
-
-class NullProfiler(Profiler):
-    """Profiler that drops everything (the API-compatible "off" switch)."""
-
-    enabled = False
-
-    @contextmanager
-    def span(self, name: str, **meta: Any) -> Iterator[Dict[str, Any]]:
-        yield meta
-
-    def record_span(self, name: str, start: float, duration: float,
-                    **meta: Any) -> Optional[Span]:  # type: ignore[override]
-        return None

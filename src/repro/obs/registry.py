@@ -3,12 +3,8 @@
 The registry is the publishing surface of the observability subsystem
 (docs/OBSERVABILITY.md).  Protocol layers bind *instruments* once — a
 :class:`Counter`, :class:`Gauge` or :class:`Histogram`, optionally with
-labels — and update them from hot paths.  Three properties drive the design:
+labels — and update them from hot paths.  Two properties drive the design:
 
-* **near-zero overhead when disabled** — a disabled registry hands out the
-  shared :data:`NULL_INSTRUMENT`, whose update methods are empty; callers
-  keep unconditional ``instrument.inc()`` calls instead of sprinkling
-  ``if registry`` checks through the protocol code;
 * **labeled series** — ``registry.counter("ring.delivered",
   service="premium")`` creates one time series per label combination under a
   common family name, so per-class / per-station breakdowns aggregate
@@ -29,7 +25,7 @@ from collections import deque
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["MetricsError", "Counter", "Gauge", "Histogram",
-           "MetricsRegistry", "NULL_INSTRUMENT", "NULL_REGISTRY"]
+           "MetricsRegistry"]
 
 
 class MetricsError(ValueError):
@@ -164,58 +160,13 @@ class Histogram:
                 f"n={self.count} mean={self.mean:.3g}>")
 
 
-class _NullInstrument:
-    """Shared no-op stand-in for every instrument kind.
-
-    Hot paths hold a reference and call ``inc``/``set``/``add``/``observe``
-    unconditionally; when observability is off the call is an empty method —
-    the cheapest "disabled" that does not require branching at every site.
-    """
-
-    __slots__ = ()
-    kind = "null"
-    name = ""
-    labels: LabelKey = ()
-    value = 0
-    count = 0
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def summary(self) -> Dict[str, Any]:
-        return {}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<NullInstrument>"
-
-
-#: the singleton no-op instrument handed out by disabled registries
-NULL_INSTRUMENT = _NullInstrument()
-
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
 class MetricsRegistry:
-    """Instrument factory and store.
+    """Instrument factory and store."""
 
-    ``enabled`` is fixed at construction: a disabled registry returns
-    :data:`NULL_INSTRUMENT` from every factory method and records nothing
-    (so instruments bound early stay no-ops for the registry's lifetime —
-    enable-after-bind is deliberately not supported, it would force a
-    branch back into every hot path).
-    """
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, LabelKey], Any] = {}
         self._kinds: Dict[str, str] = {}
 
@@ -224,8 +175,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def _get(self, kind: str, name: str, labels: Dict[str, Any],
              **kwargs: Any):
-        if not self.enabled:
-            return NULL_INSTRUMENT
         if not name:
             raise MetricsError("instrument name must be non-empty")
         known = self._kinds.get(name)
@@ -283,7 +232,3 @@ class MetricsRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._kinds
-
-
-#: shared disabled registry — the default wired into protocol objects
-NULL_REGISTRY = MetricsRegistry(enabled=False)

@@ -130,8 +130,8 @@ class Scenario:
     seed: int = 0
     traffic: TrafficMix = field(default_factory=TrafficMix)
     #: tick driver: "scalar" (reference, one agenda event per slot) or
-    #: "batched" (repro.kernel: inline slot batching + saturated SAT windows,
-    #: byte-identical outputs enforced by the kernel-parity harness)
+    #: "batched" (repro.kernel: the same ticks plus closed-form saturated SAT
+    #: windows, byte-identical outputs enforced by the kernel-parity harness)
     kernel: str = option("scalar", omit_default=True)
     #: opt-in RFC 6298 SAT timers (repro.core.adaptive): per-station
     #: SRTT/RTTVAR estimation over observed rotations with a Theorem-1

@@ -25,12 +25,13 @@ Cancellation is O(1) (entries are tombstoned), but tombstones do not linger:
 the engine counts dead entries and lazily compacts the heap when they
 outnumber the live ones, so :meth:`Engine.pending_count` is O(1) and
 :meth:`Engine.peek` reflects live events only — the batched kernel bounds its
-inline runs and saturated windows by it (see :mod:`repro.kernel`).
+saturated windows by it (see :mod:`repro.kernel`).
 
 NaN is not an event time: :meth:`Engine.schedule_at` and
 :meth:`Engine.reschedule_at` raise :class:`SchedulingError` for it and leave
-the agenda as it was, and :meth:`Engine.run` rejects a NaN ``until`` before
-it touches any state.
+the agenda as it was, :meth:`Engine.advance_to` raises it and leaves the
+clock as it was, and :meth:`Engine.run` rejects a NaN ``until`` before it
+touches any state.
 """
 
 from __future__ import annotations
@@ -292,9 +293,12 @@ class Engine:
 
         Only valid when no pending event lies strictly before ``time`` —
         advancing past live events would strand them in the past.  Used by
-        the batched kernel to step from one inline slot to the next and to
-        the hop times inside a saturated window.
+        the batched kernel to move to the hop times inside a saturated
+        window.  NaN raises :class:`SchedulingError` and leaves the clock
+        where it was.
         """
+        if time != time:
+            raise SchedulingError("cannot advance to NaN")
         if time < self.now:
             raise SchedulingError(
                 f"cannot advance to {time!r}; current time is {self.now!r}")

@@ -7,6 +7,7 @@ gateway buffers drained in canonical order at absolute barrier ticks.
 """
 
 import json
+import math
 import signal
 from dataclasses import replace
 
@@ -436,30 +437,43 @@ class TestFabricSweep:
         with pytest.raises(ValueError):
             sweep.expand()[0].scenario()
 
-    def test_run_fabric_point_runs_the_configured_kernel(self):
+    def test_run_fabric_point_runs_the_configured_kernel(self, monkeypatch):
+        # a fabric ring runs the same schedule under either kernel, so the
+        # kernel shows only in the ring reports' "kernel" block (batched
+        # telemetry), read off the runner the point used
+        results = []
+        collect = FabricRunner.result
+
+        def spy(runner, *args, **kwargs):
+            results.append(collect(runner, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(FabricRunner, "result", spy)
         data = topology_to_dict(Topology(rings=2, ring_size=6, cross_flows=2,
                                          horizon=600.0, seed=5))
-        assert run_fabric_point(data)["events_executed"] == 1202
-        data["kernel"] = "batched"
-        record = run_fabric_point(data)
-        assert record["scenario"]["kernel"] == "batched"
-        assert record["events_executed"] == 30
+        for kernel in ("scalar", "batched"):
+            data["kernel"] = kernel
+            record = run_fabric_point(data)
+            assert record["scenario"]["kernel"] == kernel
+            assert [("kernel" in r) for r in results[-1].reports] == \
+                [kernel == "batched"] * 2
 
     def test_cli_runs_the_config_kernel_unless_a_flag_overrides(
-            self, tmp_path, capsys):
+            self, tmp_path):
         from repro.cli import main
         data = topology_to_dict(Topology(rings=2, ring_size=6, cross_flows=2,
                                          horizon=300.0, seed=5))
         data["kernel"] = "batched"
         path = tmp_path / "topo.json"
         path.write_text(json.dumps(data))
-        events = []
+        resolved = tmp_path / "resolved.json"
+        kernels = []
         for extra in ([], ["--kernel", "scalar"]):
-            assert main(["fabric", "--config", str(path), "--json",
-                         *extra]) == 0
-            events.append(json.loads(capsys.readouterr().out)
-                          ["events_executed"])
-        assert events[0] < events[1]
+            assert main(["fabric", "--config", str(path),
+                         "--save", str(resolved), *extra]) == 0
+            kernels.append(json.loads(resolved.read_text())
+                           .get("kernel", "scalar"))
+        assert kernels == ["batched", "scalar"]
 
     def test_run_fabric_point_record_shape(self):
         record = run_fabric_point(
@@ -486,6 +500,27 @@ class TestRunnerLifecycle:
             runner.run(until=100.0)
             with pytest.raises(ValueError):
                 runner.run(until=50.0)
+
+    @pytest.mark.parametrize("until", [math.nan, math.inf],
+                             ids=["nan", "inf"])
+    def test_non_finite_until_rejected(self, until):
+        # an infinite run would never return, so an alarm turns a hang
+        # into a failure
+        def hung(signum, frame):
+            raise TimeoutError("fabric run(until=inf) did not return")
+
+        topo = Topology(rings=2, cross_flows=1, horizon=40.0)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with FabricRunner(topo, mode="serial") as runner:
+                with pytest.raises(ValueError, match="finite"):
+                    runner.run(until=until)
+                assert runner.clock == 0.0
+                assert runner.barriers == 0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_shard_station_count(self):
         shard = RingShard(small_topology(), 1, trace=False)

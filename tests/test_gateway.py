@@ -395,7 +395,7 @@ class TestGatewayConservation:
         from repro.obs.registry import MetricsRegistry
 
         engine, net, lan, gw = bridge_setup()
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         attach_network_metrics(net, registry)
         engine.run(until=10)
         t0 = engine.now

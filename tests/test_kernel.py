@@ -1,5 +1,6 @@
-"""Unit tests for the batched kernel: inline batching over quiescent
-stretches, saturated windows, and budget/stop interactions.
+"""Unit tests for the batched kernel: the one tick driver (a ring that
+never saturates runs the scalar schedule), saturated windows, and
+budget/stop interactions.
 
 The differential suite (test_kernel_parity.py) proves whole-run equivalence;
 these tests pin the individual mechanisms — so a parity failure elsewhere can
@@ -61,13 +62,6 @@ def snapshot(net):
 def timer_deadlines(net):
     return {sid: t.deadline if t.running else None
             for sid, t in net.recovery.timers.items()}
-
-
-def assert_batched(be, se):
-    """Parity cannot tell inline batching from one agenda event per slot
-    (both are byte-identical); the engines' dispatch counts can."""
-    assert be.events_executed * 10 <= se.events_executed, (
-        be.events_executed, se.events_executed)
 
 
 # ======================================================================
@@ -138,18 +132,35 @@ class TestInstallation:
 
 
 # ======================================================================
-class TestInlineBatching:
-    """Quiescent stretches run slot by slot inside one agenda dispatch:
-    the same ``_tick_body`` and ``_sat_step`` calls the scalar driver
-    makes, with each SAT hop at its real time."""
+class TestOneTickDriver:
+    """The ring's own ``_tick`` is the only tick callback under both
+    kernels: the batched kernel only answers the next tick time."""
 
-    def test_idle_ring_batches_inline(self):
+    @pytest.mark.parametrize("kernel", ["scalar", "batched"])
+    def test_tick_handle_runs_the_ring_tick(self, kernel):
+        engine, net = make_net(6, l=2, k=1)
+        kern = install_batched_kernel(net) if kernel == "batched" else None
+        net.start()
+        assert net._tick_handle.callback == net._tick
+        prefill_successor(net, rt=40, be=20)
+        engine.run(until=600.0)
+        assert net._tick_handle.callback == net._tick
+        if kern is not None:
+            assert kern.sat_windows > 0, "no window opened; test is vacuous"
+
+
+# ======================================================================
+class TestScalarSchedule:
+    """A ring that never saturates runs the scalar schedule under the
+    batched kernel: one tick per slot, the same ``_tick_body`` and
+    ``_sat_step`` calls at the same times, dispatch for dispatch."""
+
+    def test_idle_ring_dispatches_like_scalar(self):
         (se, sn), (be, bn, kern) = make_pair(8)
         sn.start(); bn.start()
         se.run(until=5000.0); be.run(until=5000.0)
-        # one tick event per slot against one dispatch for the whole run
-        assert se.events_executed == 5001
-        assert be.events_executed == 1
+        # one tick event per slot under both kernels
+        assert se.events_executed == be.events_executed == 5001
         assert be.now == 5000.0
 
     def test_idle_parity_with_scalar(self):
@@ -164,13 +175,12 @@ class TestInlineBatching:
         (se, sn), (be, bn, kern) = make_pair(6, sat_hop_slots=3)
         sn.start(); bn.start()
         se.run(until=4000.0); be.run(until=4000.0)
-        assert_batched(be, se)
         assert snapshot(bn) == snapshot(sn)
         assert timer_deadlines(bn) == timer_deadlines(sn)
 
-    def test_jump_never_crosses_pending_event(self):
-        # an agenda event mid-gap (a traffic arrival) ends the inline run:
-        # it fires at its own time, before the next slot body
+    def test_pending_event_fires_at_its_time(self):
+        # an agenda event between ticks (a traffic arrival) fires at its
+        # own time, before the next slot body
         engine, net = make_net(6)
         kern = install_batched_kernel(net)
         seen = []
@@ -207,8 +217,7 @@ class TestInlineBatching:
 
     def test_resume_across_run_chunks(self):
         # state must survive run() returning and being called again —
-        # the pending tick an inline run leaves behind is where scalar
-        # would be
+        # the pending tick a run leaves behind is where scalar would be
         (se, sn), (be, bn, kern) = make_pair(6)
         sn.start(); bn.start()
         for upto in (300.0, 301.0, 950.5, 2000.0):
@@ -217,7 +226,7 @@ class TestInlineBatching:
 
     def test_sat_subscriber_sees_every_hop_at_its_time(self):
         # every traced run has one: each hop's events fire at the real hop
-        # time, inside the batched dispatch
+        # time
         (se, sn), (be, bn, kern) = make_pair(8)
         releases = []
         for eng, net in ((se, sn), (be, bn)):
@@ -229,11 +238,10 @@ class TestInlineBatching:
             releases.append(times)
         assert releases[0]
         assert releases[1] == releases[0]
-        assert_batched(be, se)
         assert snapshot(bn) == snapshot(sn)
 
     def test_adaptive_timers_parity(self):
-        engines, nets = [], []
+        nets = []
         for batched in (False, True):
             engine = Engine()
             cfg = WRTRingConfig.homogeneous(range(8), l=2, k=2,
@@ -244,9 +252,7 @@ class TestInlineBatching:
                 install_batched_kernel(net)
             net.start()
             engine.run(until=3000.0)
-            engines.append(engine)
             nets.append(net)
-        assert_batched(engines[1], engines[0])
         assert snapshot(nets[1]) == snapshot(nets[0])
         assert timer_deadlines(nets[1]) == timer_deadlines(nets[0])
 
@@ -320,9 +326,9 @@ class TestSaturatedWindow:
         engine.run(until=300.0)
         assert kern.sat_windows == 0
 
-    def test_drained_ring_hands_back_to_inline_batching(self):
-        # after the backlog drains, the idle ring runs on in inline
-        # batching
+    def test_drained_ring_hands_back_to_scalar_ticks(self):
+        # after the backlog drains, the idle ring runs on one tick per
+        # slot, as the scalar kernel does
         (se, sn), (be, bn, kern) = make_pair(6, l=2, k=1)
         for net in (sn, bn):
             net.start()
@@ -330,7 +336,8 @@ class TestSaturatedWindow:
         se.run(until=2000.0); be.run(until=2000.0)
         assert kern.sat_windows > 0
         assert bn.metrics.total_delivered == 6 * 8
-        assert_batched(be, se)
+        # the only ticks batched skips are the slots its windows covered
+        assert se.events_executed - be.events_executed == kern.sat_slots
         assert snapshot(bn) == snapshot(sn)
 
 
@@ -411,13 +418,11 @@ class TestBudgetAndStop:
         se.run(until=500.0); be.run(until=500.0)
         assert snapshot(bn) == snapshot(sn)
 
-    def test_jump_clock_is_exact_after_ff(self):
+    def test_clock_is_exact_at_run_edge(self):
         engine, net = make_net(8)
         install_batched_kernel(net)
         net.start()
         engine.run(until=3000.0)
-        assert engine.events_executed == 1   # one inline run to the edge
-        assert float(engine.now).is_integer() or engine.now == 3000.0
         assert engine.now == 3000.0
         # the SAT's bookkeeping is still on the hop lattice
         assert net.sat.arrival_time == math.floor(net.sat.arrival_time)

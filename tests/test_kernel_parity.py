@@ -4,8 +4,8 @@ This is the enforcement arm of the equivalence contract in docs/KERNEL.md:
 every checked-in fuzz corpus bundle and every scenario in the pinned seeded
 grid is replayed through both kernels, and every observable — trace hash,
 summary, per-station tables, rotation samples, final clock — must match
-exactly.  ``events_executed`` is the single excluded statistic (the batched
-driver dispatches fewer agenda events by design).
+exactly.  ``events_executed`` must match too, except where the batched
+kernel opened a saturated window (one tick dispatch for many slots).
 """
 
 import glob
@@ -115,17 +115,14 @@ class TestFabricKernelParity:
                         horizon=600.0, seed=5)
         scalar = self._result(topo, "serial", "scalar")
         batched = self._result(topo, "serial", "batched")
+        # a fabric ring never opens a saturated window (its shard subscribes
+        # to deliveries), so it ticks on the scalar schedule, dispatches
+        # included
         assert (batched.summary()["events_executed"]
-                < scalar.summary()["events_executed"])
+                == scalar.summary()["events_executed"])
         assert scalar.trace_hash() == batched.trace_hash()
         assert scalar.flow_table() == batched.flow_table()
-        # the ring table's trailing "events" column is engine
-        # events_executed — the one excluded statistic; strip it
-        def sans_events(table):
-            return ["".join(line.split()[:-1])
-                    for line in table.splitlines()]
-        assert sans_events(scalar.ring_table()) == \
-            sans_events(batched.ring_table())
+        assert scalar.ring_table() == batched.ring_table()
 
     def test_sharded_fabric_matches_serial_under_batched(self):
         from repro.fabric import Topology

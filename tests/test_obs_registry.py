@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.obs import (NULL_INSTRUMENT, NULL_REGISTRY, MetricsError,
-                       MetricsRegistry)
+from repro.obs import MetricsError, MetricsRegistry
 
 
 class TestCounter:
@@ -124,56 +123,6 @@ class TestKindCollisions:
             MetricsRegistry().counter("")
 
 
-class TestDisabledRegistry:
-    def test_factories_return_null_instrument(self):
-        reg = MetricsRegistry(enabled=False)
-        assert reg.counter("a") is NULL_INSTRUMENT
-        assert reg.gauge("b") is NULL_INSTRUMENT
-        assert reg.histogram("c") is NULL_INSTRUMENT
-
-    def test_null_instrument_is_inert(self):
-        NULL_INSTRUMENT.inc()
-        NULL_INSTRUMENT.inc(10)
-        NULL_INSTRUMENT.set(5.0)
-        NULL_INSTRUMENT.add(1.0)
-        NULL_INSTRUMENT.observe(3.0)
-        assert NULL_INSTRUMENT.value == 0
-        assert NULL_INSTRUMENT.summary() == {}
-
-    def test_disabled_registry_records_nothing(self):
-        reg = MetricsRegistry(enabled=False)
-        reg.counter("a").inc()
-        assert len(reg) == 0
-        assert reg.snapshot() == {}
-
-    def test_no_collision_checks_when_disabled(self):
-        # the disabled path must stay branch-free: no name validation
-        reg = MetricsRegistry(enabled=False)
-        reg.counter("x")
-        assert reg.gauge("x") is NULL_INSTRUMENT
-
-    def test_shared_null_registry(self):
-        assert not NULL_REGISTRY.enabled
-        assert NULL_REGISTRY.counter("whatever") is NULL_INSTRUMENT
-
-    def test_disabled_overhead_comparable_to_bare_call(self):
-        """The whole point of the null-object pattern: updating a disabled
-        instrument must cost about as much as calling an empty method —
-        bounded here at a generous multiple to stay robust under CI noise."""
-        import timeit
-
-        class Empty:
-            def inc(self, n=1):
-                pass
-
-        null = MetricsRegistry(enabled=False).counter("x")
-        bare = Empty()
-        n = 20_000
-        t_null = min(timeit.repeat(null.inc, number=n, repeat=5))
-        t_bare = min(timeit.repeat(bare.inc, number=n, repeat=5))
-        assert t_null < t_bare * 5 + 1e-3
-
-
 class TestIntrospection:
     def test_series_sorted_by_labels(self):
         reg = MetricsRegistry()
@@ -241,13 +190,6 @@ class TestNetworkIntegration:
         snap = reg.snapshot()
         assert snap["ring.kills"][""] == 1
         assert snap["recovery.episodes"][""] >= 1
-
-    def test_disabled_registry_attaches_without_hooks(self):
-        reg = MetricsRegistry(enabled=False)
-        built = self._run(reg)
-        assert reg.snapshot() == {}
-        # the run itself must be unaffected
-        assert built.network.metrics.total_delivered > 0
 
     def test_observed_run_matches_unobserved_run(self):
         """Attaching metrics must not perturb the simulation outcome."""

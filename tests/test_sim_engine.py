@@ -422,6 +422,18 @@ class TestNaNTimes:
         eng.run(until=60.0)
         assert eng.now == 60.0
 
+    @pytest.mark.parametrize("make", [_bare_engine, _ring_engine],
+                             ids=["bare", "ring"])
+    def test_advance_to_rejects_nan(self, make):
+        # NaN compares false with the clock and the pending event alike,
+        # so unchecked it becomes the clock while peek() names 5.0
+        eng = make()
+        eng.schedule_at(5.0, lambda: None)
+        before = self._agenda(eng)
+        with pytest.raises(SchedulingError):
+            eng.advance_to(self.NAN)
+        assert self._agenda(eng) == before
+
 
 class TestAdvanceTo:
     def test_advance_to_moves_clock(self):
