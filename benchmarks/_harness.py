@@ -10,7 +10,7 @@ of interest is the simulation output, not wall-clock.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.baselines import TPTConfig, TPTNetwork, choose_ttrt
 from repro.campaign.aggregate import aligned_table

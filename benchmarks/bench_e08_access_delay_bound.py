@@ -15,7 +15,7 @@ import random
 from repro.analysis import access_delay_bound
 from repro.core import Packet, ServiceClass
 
-from _harness import attach_saturation, build_wrt, print_table, run
+from _harness import build_wrt, print_table, run
 
 N, K = 5, 2
 EPOCHS = 12

@@ -20,8 +20,6 @@ So the discipline is load-bearing for *bounded delivery*, and Theorem 3's
 access-delay guarantee is only useful because of it.
 """
 
-import random
-
 from repro.analysis import sat_rotation_bound_homogeneous
 from repro.core import Packet, ServiceClass, WRTRingConfig, WRTRingNetwork
 from repro.sim import Engine

@@ -8,7 +8,7 @@ record stays regenerable from code rather than hand-edited.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis.validation import BoundCheck
 

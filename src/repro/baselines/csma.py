@@ -188,9 +188,7 @@ class CSMANetwork:
             for sid in station_ids}
         self.events = EventBus()
         self.metrics = NetworkMetrics().attach(self.events)
-        self._trace_adapter = None
-        if not isinstance(self.trace, NullTraceRecorder):
-            self._trace_adapter = TraceAdapter(self.trace).attach(self.events)
+        self._trace_adapter = TraceAdapter(self.trace).attach(self.events)
         self.events.add_binder(self._bind_emitters)
         self.collision_slots = 0
         self.busy_slots = 0

@@ -107,9 +107,7 @@ class TPTNetwork:
         self.rotation_log = RotationLog()
         self.events = EventBus()
         self.metrics = NetworkMetrics().attach(self.events)
-        self._trace_adapter = None
-        if not isinstance(self.trace, NullTraceRecorder):
-            self._trace_adapter = TraceAdapter(self.trace).attach(self.events)
+        self._trace_adapter = TraceAdapter(self.trace).attach(self.events)
         self.events.add_binder(self._bind_emitters)
         self.records: List[RecoveryRecord] = []
         self.token_hops = 0

@@ -436,7 +436,7 @@ def _run_observed(scenario, timeline: Optional[str],
         registry = MetricsRegistry()
         subscriber = attach_network_metrics(built.network, registry)
     if timeline:
-        enable_timeline_categories(built.trace, built.network)
+        enable_timeline_categories(built.trace)
 
     built.engine.run(until=scenario.horizon)
 

@@ -22,8 +22,8 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = ["option", "UnknownKeyError", "to_dict", "from_dict",
-           "scenario_to_dict", "scenario_from_dict", "load_scenario",
-           "save_scenario"]
+           "decode_enum", "scenario_to_dict", "scenario_from_dict",
+           "load_scenario", "save_scenario"]
 
 _MISSING = dataclasses.MISSING
 
@@ -80,12 +80,15 @@ def _decoder(tp: Any) -> Optional[Callable[[Any, str, Any], Any]]:
     if dataclasses.is_dataclass(tp):
         return lambda v, where, base: from_dict(tp, v, where, base)
     if isinstance(tp, type) and issubclass(tp, enum.Enum):
-        return lambda v, where, base: _enum(tp, v, where)
+        return lambda v, where, base: decode_enum(tp, v, where)
     return None
 
 
-def _enum(tp: Any, name: str, where: str) -> Any:
-    if name.upper() not in tp.__members__:
+def decode_enum(tp: Any, name: str, where: str) -> Any:
+    """The member of enum ``tp`` named ``name`` in any letter case
+    (:func:`to_dict` writes it lower-case); an unknown name raises a
+    ValueError listing the known ones."""
+    if not isinstance(name, str) or name.upper() not in tp.__members__:
         raise ValueError(f"unknown {where} {name!r}; known: "
                          f"{sorted(m.lower() for m in tp.__members__)}")
     return tp[name.upper()]

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.packet import ServiceClass
 from repro.events.types import RingTick
 
 __all__ = ["InvariantViolation", "RingInvariantChecker"]

@@ -33,10 +33,11 @@ class ServiceClass(IntEnum):
 
     @property
     def short(self) -> str:
-        return {ServiceClass.PREMIUM: "RT",
-                ServiceClass.ASSURED: "AS",
-                ServiceClass.BEST_EFFORT: "BE"}[self]
+        return _SHORT_NAMES[self]
 
+
+_SHORT_NAMES = {ServiceClass.PREMIUM: "RT", ServiceClass.ASSURED: "AS",
+                ServiceClass.BEST_EFFORT: "BE"}
 
 _packet_ids = itertools.count()
 

@@ -171,7 +171,7 @@ class WRTRingNetwork:
         self.events = events if events is not None else EventBus()
         self.metrics = NetworkMetrics().attach(self.events)
         self._trace_adapter: Optional[TraceAdapter] = None
-        if events is None and not isinstance(self.trace, NullTraceRecorder):
+        if events is None:
             self._trace_adapter = TraceAdapter(self.trace).attach(self.events)
         self.events.add_binder(self._bind_emitters)
 

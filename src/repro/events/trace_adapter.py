@@ -21,15 +21,13 @@ legacy code traced selectively:
   ``RingTick``/``RecoveryEpisode``/``EngineRunWindow`` were never traced
   at all (they feed metrics/oracles/profiling only).
 
-Every 1:1 category — the ``_DIRECT`` ones and the two opt-in categories
-(``TraceRecorder.OPT_IN``) — is subscribed only while the recorder has it
-enabled (see :meth:`TraceAdapter.refresh`): ``sat.release`` and
-``sat.rotation`` fire every SAT hop and ``sat.arrive`` every visit, so
-paying event construction just for the recorder to drop the record would
-tax trace-off runs, and a category nothing else subscribes to leaves its
-emitter the falsy null.  The recorder's switches are read at
-:meth:`~TraceAdapter.attach` and again on every ``refresh``; call
-``refresh`` after enabling or disabling categories on a live network.
+Every rendering is subscribed only while the recorder has its category
+enabled: ``sat.release`` and ``sat.rotation`` fire every SAT hop and
+``sat.arrive`` every visit, so paying event construction just for the
+recorder to drop the record would tax trace-off runs, and a category
+nothing else subscribes to leaves its emitter the falsy null.  The adapter
+watches the recorder's switches (:meth:`TraceRecorder.watch`), so the
+subscriptions follow every ``enable``/``disable``/``enable_only`` at once.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from __future__ import annotations
 from typing import Optional, Type
 
 from repro.events import types as T
-from repro.events.types import ProtocolEvent
+from repro.events.types import EVENT_TYPES, ProtocolEvent
 
 __all__ = ["TraceAdapter", "traced_category"]
 
@@ -58,10 +56,6 @@ _DIRECT = (
     T.GatewayBuffer,
 )
 
-#: events of the opt-in trace categories (``TraceRecorder.OPT_IN``):
-#: rendered like ``_DIRECT``, but disabled on a recorder by default
-_OPT_IN = (T.SatArrive, T.SlotOccupancy)
-
 #: events the legacy code never traced
 _UNTRACED = (
     T.EngineRunWindow, T.RingTick, T.PacketEnqueued, T.SlotTransmit,
@@ -71,6 +65,7 @@ _UNTRACED = (
 
 def traced_category(etype: Type[ProtocolEvent]) -> Optional[str]:
     """The trace category *etype* renders to, or None if never traced."""
+    from repro.sim.trace import TraceRecorder   # repro.sim imports repro.events
     if etype in _UNTRACED:
         return None
     if etype is T.PacketLost:
@@ -79,7 +74,7 @@ def traced_category(etype: Type[ProtocolEvent]) -> Optional[str]:
         return "ring.orphan_ttl (reason='ttl' only)"
     if etype in (T.GatewayForward, T.GatewayDrop):
         return f"{etype.category} (packet rendered as src/dst/service)"
-    if etype in _OPT_IN:
+    if etype.category in TraceRecorder.OPT_IN:
         return f"{etype.category} (opt-in)"
     return etype.category
 
@@ -89,19 +84,22 @@ class TraceAdapter:
 
     def __init__(self, trace) -> None:
         self.trace = trace
-        #: event type -> subscribed handler, for each enabled 1:1 category
+        #: event type -> subscribed handler, for each enabled rendering
         self._handlers = {}
 
     def attach(self, bus) -> "TraceAdapter":
-        # the legacy subscription order — direct categories, selective
-        # renderings, opt-in categories — fixes each event's fan-out order
-        self._follow(bus, _DIRECT)
-        bus.subscribe(T.PacketLost, self._on_packet_lost)
-        bus.subscribe(T.PacketOrphaned, self._on_packet_orphaned)
-        bus.subscribe(T.RapClose, self._on_rap_close)
-        bus.subscribe(T.GatewayForward, self._on_gw_forward)
-        bus.subscribe(T.GatewayDrop, self._on_gw_drop)
-        self._follow(bus, _OPT_IN)
+        # one (event, category written, handler) row per rendering, in the
+        # legacy subscription order — direct categories, selective
+        # renderings, opt-in categories — that fixes each event's fan-out
+        table = [(etype, etype.category, None) for etype in _DIRECT] + [
+            (T.PacketLost, "ring.link_loss", self._on_packet_lost),
+            (T.PacketOrphaned, "ring.orphan_ttl", self._on_packet_orphaned),
+            (T.RapClose, "rap.close", self._on_rap_close),
+            (T.GatewayForward, "gw.forward", self._on_gw_forward),
+            (T.GatewayDrop, "gw.drop", self._on_gw_drop),
+        ] + [(etype, etype.category, None) for etype in EVENT_TYPES
+             if etype.category in self.trace.OPT_IN]
+        self.trace.watch(lambda: self._follow(bus, table))
         return self
 
     @staticmethod
@@ -152,24 +150,17 @@ class TraceAdapter:
                           service=pkt.service.short)
 
     # -- category toggling ---------------------------------------------
-    def refresh(self, bus) -> None:
-        """Align the 1:1 subscriptions with the recorder's enable
-        switches; call after ``trace.enable``/``disable``/``enable_only``
-        so an enabled category records and a disabled one costs its emit
-        sites nothing.  A category enabled after :meth:`attach` subscribes
-        behind the bus's existing subscribers."""
-        self._follow(bus, _DIRECT + _OPT_IN)
-
-    def _follow(self, bus, etypes) -> None:
-        """Subscribe each of *etypes* whose category is enabled, and drop
-        the subscription of each one that is disabled."""
+    def _follow(self, bus, table) -> None:
+        """Subscribe each rendering in *table* whose category is enabled,
+        and drop each one that is disabled.  A category enabled after
+        :meth:`attach` subscribes behind the bus's existing subscribers."""
         enabled = self.trace.is_enabled
         handlers = self._handlers
-        for etype in etypes:
-            if enabled(etype.category):
+        for etype, category, handler in table:
+            if enabled(category):
                 if etype not in handlers:
-                    handler = handlers[etype] = self._direct_handler(
+                    handlers[etype] = handler or self._direct_handler(
                         etype, self.trace)
-                    bus.subscribe(etype, handler)
+                    bus.subscribe(etype, handlers[etype])
             elif etype in handlers:
                 bus.unsubscribe(etype, handlers.pop(etype))

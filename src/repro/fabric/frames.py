@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.config_io import decode_enum
 from repro.core.packet import ServiceClass
 
 __all__ = ["FabricFrame"]
-
-_SERVICE_NAMES = {c.name.lower(): c for c in ServiceClass}
 
 
 @dataclass
@@ -70,7 +69,7 @@ class FabricFrame:
             flow=data["flow"], seq=data["seq"],
             src_ring=data["src_ring"], src_station=data["src_station"],
             dst_ring=data["dst_ring"], dst_station=data["dst_station"],
-            service=_SERVICE_NAMES[data["service"]],
+            service=decode_enum(ServiceClass, data["service"], "service"),
             created=data["created"], deadline=data["deadline"],
             route=tuple(data["route"]), hop=data["hop"],
             hop_log=[list(leg) for leg in data["hop_log"]])

@@ -19,7 +19,7 @@ transient key and never crosses a boundary or lands in a trace record.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.campaign.sweep import canonical_json
 from repro.core.packet import Packet
@@ -63,10 +63,9 @@ class RingShard:
         self.engine = self.result.engine
         self.trace = self.result.trace
         if not trace:
-            # record nothing, and let the trace adapter drop its
-            # subscriptions so no emit site renders a record to discard
+            # record nothing: the trace adapter drops every subscription,
+            # so no emit site renders a record to discard
             self.trace.enable_only(())
-            self.net._trace_adapter.refresh(self.net.events)
         #: neighbour ring -> gateway link
         self.links = dict(topo.ring_neighbours()[ring])
         #: neighbour ring -> [(frame, t_buffered), ...]
@@ -282,8 +281,7 @@ class RingShard:
         (already in global canonical order)."""
         for data in frames:
             frame = FabricFrame.from_dict(data)
-            link = self.topo.link_between(frame.route[frame.hop - 1],
-                                          frame.route[frame.hop])
+            link = self.links[frame.route[frame.hop - 1]]
             self._forward_local(frame, t, link.endpoint(self.ring))
 
     # ------------------------------------------------------------------

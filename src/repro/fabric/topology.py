@@ -231,13 +231,14 @@ class Topology:
 
     def route(self, src_ring: int, dst_ring: int) -> Tuple[int, ...]:
         """Deterministic shortest ring path (BFS, sorted neighbour order)."""
-        return _route(self.ring_neighbours(), src_ring, dst_ring)
-
-    def link_between(self, ring_a: int, ring_b: int) -> GatewayLink:
-        for link in self.resolved_links():
-            if {link.ring_a, link.ring_b} == {ring_a, ring_b}:
-                return link
-        raise KeyError(f"no gateway link between rings {ring_a} and {ring_b}")
+        tree = _bfs(self.ring_neighbours(), src_ring)
+        if dst_ring not in tree:
+            raise ValueError(f"no gateway path from ring {src_ring} to "
+                             f"ring {dst_ring}")
+        path = [dst_ring]
+        while path[-1] != src_ring:
+            path.append(tree[path[-1]][0])
+        return tuple(reversed(path))
 
     def resolved_flows(self) -> List[CrossFlow]:
         """The cross-ring flow set; generated flows derive from ``seed``."""
@@ -245,15 +246,23 @@ class Topology:
             return list(self.flows)
         rng = RandomStreams(self.seed).stream("fabric.flows")
         adj = self.ring_neighbours()
-        hops = {(a, b): len(_route(adj, a, b)) - 1
-                for a in range(self.rings) for b in range(self.rings) if a != b}
+        #: source ring -> {ring it reaches: gateway hops}, one BFS per
+        #: source ring drawn
+        reach: Dict[int, Dict[int, int]] = {}
         out: List[CrossFlow] = []
         for _ in range(self.cross_flows):
             src_ring = rng.randrange(self.rings)
-            far = sorted(b for (a, b), h in hops.items()
-                         if a == src_ring and h >= self.min_ring_hops)
-            if not far:    # isolated ring under an explicit sparse link set
-                far = sorted(b for (a, b) in hops if a == src_ring)
+            if src_ring not in reach:
+                reach[src_ring] = {ring: hops for ring, (_up, hops)
+                                   in _bfs(adj, src_ring).items()
+                                   if ring != src_ring}
+            hops = reach[src_ring]
+            if not hops:
+                raise ValueError(f"ring {src_ring} reaches no other ring, "
+                                 f"so no flow can start there")
+            # no ring min_ring_hops away: any reachable ring will do
+            far = sorted(b for b, h in hops.items()
+                         if h >= self.min_ring_hops) or sorted(hops)
             dst_ring = rng.choice(far)
             out.append(CrossFlow(
                 src_ring=src_ring,
@@ -273,28 +282,21 @@ class Topology:
                        seed=RandomStreams(self.seed).derive(f"ring:{ring}"))
 
 
-def _route(adj: Dict[int, List[Tuple[int, GatewayLink]]], src_ring: int,
-           dst_ring: int) -> Tuple[int, ...]:
-    """:meth:`Topology.route` over an adjacency built once by the caller."""
-    if src_ring == dst_ring:
-        return (src_ring,)
-    parent: Dict[int, int] = {src_ring: src_ring}
+def _bfs(adj: Dict[int, List[Tuple[int, GatewayLink]]],
+         src_ring: int) -> Dict[int, Tuple[int, int]]:
+    """BFS from ``src_ring`` in sorted neighbour order: every ring it
+    reaches -> (the ring it is reached from, its gateway hops)."""
+    tree = {src_ring: (src_ring, 0)}
     frontier = [src_ring]
-    while frontier and dst_ring not in parent:
+    while frontier:
         nxt: List[int] = []
         for ring in frontier:
             for neighbour, _link in adj[ring]:
-                if neighbour not in parent:
-                    parent[neighbour] = ring
+                if neighbour not in tree:
+                    tree[neighbour] = (ring, tree[ring][1] + 1)
                     nxt.append(neighbour)
         frontier = nxt
-    if dst_ring not in parent:
-        raise ValueError(f"no gateway path from ring {src_ring} to "
-                         f"ring {dst_ring}")
-    path = [dst_ring]
-    while path[-1] != src_ring:
-        path.append(parent[path[-1]])
-    return tuple(reversed(path))
+    return tree
 
 
 # ----------------------------------------------------------------------

@@ -24,8 +24,8 @@ from repro.obs.integrate import attach_network_metrics, attach_run_profiling
 from repro.obs.profile import Profiler, Span
 from repro.obs.registry import (Counter, Gauge, Histogram, MetricsError,
                                 MetricsRegistry)
-from repro.obs.timeline import (TIMELINE_CATEGORIES, build_timeline,
-                                enable_timeline_categories, export_timeline)
+from repro.obs.timeline import (build_timeline, enable_timeline_categories,
+                                export_timeline)
 
 __all__ = [
     "MetricsRegistry",
@@ -35,7 +35,6 @@ __all__ = [
     "Histogram",
     "Profiler",
     "Span",
-    "TIMELINE_CATEGORIES",
     "enable_timeline_categories",
     "build_timeline",
     "export_timeline",

@@ -22,7 +22,7 @@ same instrument object.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["MetricsError", "Counter", "Gauge", "Histogram",
            "MetricsRegistry"]

@@ -38,11 +38,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-__all__ = ["TIMELINE_CATEGORIES", "enable_timeline_categories",
-           "build_timeline", "export_timeline"]
-
-#: trace categories that only the timeline needs (opt-in, off by default)
-TIMELINE_CATEGORIES = ("sat.arrive", "slot.occupancy")
+__all__ = ["enable_timeline_categories", "build_timeline", "export_timeline"]
 
 #: µs of timeline time per simulated slot (1 slot = 1 ms)
 US_PER_SLOT = 1000.0
@@ -56,17 +52,11 @@ _TID_RAP = 1
 _TID_STATION_BASE = 10   # station s renders on tid 10 + s
 
 
-def enable_timeline_categories(trace, net=None) -> None:
-    """Enable the opt-in categories the timeline needs on ``trace``.
-
-    Pass the network as well so its trace adapter re-checks which event
-    subscriptions the now-enabled categories need (``slot.occupancy`` is
-    only emitted — and its per-tick busy count only computed — while the
-    adapter subscribes to it).
-    """
-    trace.enable(*TIMELINE_CATEGORIES)
-    if net is not None and getattr(net, "_trace_adapter", None) is not None:
-        net._trace_adapter.refresh(net.events)
+def enable_timeline_categories(trace) -> None:
+    """Switch on every opt-in category (``TraceRecorder.OPT_IN``): the
+    timeline needs all of them.  A network recording into ``trace``
+    subscribes their events at once, before or during a run."""
+    trace.enable(*trace.OPT_IN)
 
 
 def _meta(pid: int, name: str, tid: Optional[int] = None,

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.bounds import access_delay_bound, sat_rotation_bound
-from repro.config_io import option
+from repro.config_io import decode_enum, option
 from repro.core.packet import ServiceClass
 from repro.core.quotas import QuotaConfig
 from repro.events.types import (CallCut, CallEnded, CallRefused, CallStarted,
@@ -50,10 +50,6 @@ from repro.qoe.score import DEFAULT_MOS_FLOOR, FlowScore, PerceptualScorer
 from repro.traffic.flows import FlowSpec
 
 __all__ = ["CallsSpec", "VoiceCall", "VideoSession", "SessionManager"]
-
-_SERVICES = {"premium": ServiceClass.PREMIUM,
-             "assured": ServiceClass.ASSURED,
-             "best_effort": ServiceClass.BEST_EFFORT}
 
 #: station ids allocated to RAP-joining callers (clear of the fuzz
 #: schedule's 100+ join faults and any plausible ring membership)
@@ -90,9 +86,7 @@ class CallsSpec:
             raise ValueError("mean_talkspurt and mean_silence must be positive")
         if self.deadline <= 0:
             raise ValueError(f"deadline must be positive, got {self.deadline!r}")
-        if self.service not in _SERVICES:
-            raise ValueError(f"unknown service {self.service!r}; "
-                             f"known: {sorted(_SERVICES)}")
+        decode_enum(ServiceClass, self.service, "service")  # raises if unknown
         if not 0.0 <= self.video_fraction <= 1.0:
             raise ValueError(f"video_fraction must be in [0, 1], "
                              f"got {self.video_fraction!r}")
@@ -109,7 +103,7 @@ class CallsSpec:
 
     @property
     def service_class(self) -> ServiceClass:
-        return _SERVICES[self.service]
+        return decode_enum(ServiceClass, self.service, "service")
 
 
 # ----------------------------------------------------------------------

@@ -47,41 +47,48 @@ class TraceEvent:
 class TraceRecorder:
     """Append-only in-memory trace with per-category enable switches.
 
-    By default every category is enabled.  ``enable_only(...)`` restricts
-    recording to the listed categories; ``disable(...)`` turns categories off
-    individually.
+    Every category but the :attr:`OPT_IN` ones is enabled by default.
+    ``enable_only(...)`` restricts recording to the listed categories;
+    ``disable(...)`` turns categories off individually; every switch
+    change calls the :meth:`watch` callbacks.
     """
 
     #: categories that are recorded only when explicitly enabled
     OPT_IN = frozenset({"slot.occupancy", "sat.arrive"})
 
-    def __init__(self, enabled: bool = True):
+    def __init__(self) -> None:
         self.events: List[TraceEvent] = []
-        self._globally_enabled = enabled
         self._category_enabled: Dict[str, bool] = {c: False for c in self.OPT_IN}
         self._default_enabled = True
-        self.counts: Dict[str, int] = {}
         self._by_category: Dict[str, List[TraceEvent]] = {}
+        self._watchers: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     # configuration
     # ------------------------------------------------------------------
     def enable_only(self, categories: Iterable[str]) -> None:
         self._default_enabled = False
-        self._category_enabled = {c: True for c in categories}
+        self._category_enabled = {}
+        self.enable(*categories)
 
     def disable(self, *categories: str) -> None:
-        for c in categories:
-            self._category_enabled[c] = False
+        self._switch(categories, False)
 
     def enable(self, *categories: str) -> None:
-        for c in categories:
-            self._category_enabled[c] = True
+        self._switch(categories, True)
+
+    def _switch(self, categories: Iterable[str], on: bool) -> None:
+        self._category_enabled.update(dict.fromkeys(categories, on))
+        for watcher in self._watchers:
+            watcher()
 
     def is_enabled(self, category: str) -> bool:
-        if not self._globally_enabled:
-            return False
         return self._category_enabled.get(category, self._default_enabled)
+
+    def watch(self, watcher: Callable[[], None]) -> None:
+        """Call *watcher* now and after every switch change."""
+        self._watchers.append(watcher)
+        watcher()
 
     # ------------------------------------------------------------------
     # recording
@@ -98,7 +105,6 @@ class TraceRecorder:
             return
         event = TraceEvent(time, category, fields)
         self.events.append(event)
-        self.counts[category] = self.counts.get(category, 0) + 1
         bucket = self._by_category.get(category)
         if bucket is None:
             bucket = self._by_category[category] = []
@@ -128,7 +134,7 @@ class TraceRecorder:
         return out
 
     def count(self, category: str) -> int:
-        return self.counts.get(category, 0)
+        return len(self._by_category.get(category, ()))
 
     def times(self, category: str) -> List[float]:
         return [ev.time for ev in self._by_category.get(category, [])]
@@ -139,7 +145,6 @@ class TraceRecorder:
 
     def clear(self) -> None:
         self.events.clear()
-        self.counts.clear()
         self._by_category.clear()
 
     # ------------------------------------------------------------------
@@ -169,7 +174,8 @@ class TraceRecorder:
 
     @staticmethod
     def from_jsonl(path) -> "TraceRecorder":
-        """Reload a trace exported with :meth:`to_jsonl`.
+        """Reload a trace exported with :meth:`to_jsonl`, keeping every
+        record it reads (opt-in categories included).
 
         Reads both the namespaced format and the legacy flat layout (fields
         spread beside ``time``/``category``) from older exports.
@@ -178,6 +184,7 @@ class TraceRecorder:
         from pathlib import Path
 
         recorder = TraceRecorder()
+        recorder.enable(*recorder.OPT_IN)
         with Path(path).open() as fh:
             for line in fh:
                 data = json.loads(line)
@@ -199,9 +206,6 @@ class TraceRecorder:
 
 class NullTraceRecorder(TraceRecorder):
     """Recorder that drops everything; safe to pass anywhere a recorder goes."""
-
-    def __init__(self) -> None:
-        super().__init__(enabled=False)
 
     def record(self, time: float, category: str, /, **fields: Any) -> None:  # noqa: D102
         return None

@@ -13,7 +13,6 @@ against capacity.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Callable, List, Optional, Sequence
 

@@ -9,7 +9,7 @@ mixes).
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.packet import ServiceClass
 from repro.sim.rng import RandomStreams

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis import (
-    BoundCheck,
     DeadlineTracker,
     DelaySeries,
     ThroughputMeter,

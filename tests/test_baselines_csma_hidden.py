@@ -3,7 +3,6 @@
 import random
 
 import numpy as np
-import pytest
 
 from repro.baselines import CSMAConfig, CSMANetwork
 from repro.core import Packet, ServiceClass

@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.baselines import TPTConfig, TPTNetwork, choose_ttrt

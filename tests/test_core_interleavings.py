@@ -7,7 +7,6 @@ them.  These tests pin the behaviour when the procedures collide.
 import random
 
 import numpy as np
-import pytest
 
 from repro.core import (Packet, QuotaConfig, ServiceClass, WRTRingConfig,
                         WRTRingNetwork)

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis import flow_report, jain_fairness
 from repro.core import (Packet, ServiceClass, WRTRingConfig, WRTRingNetwork)
 from repro.sim import Engine
-from repro.traffic import FlowSpec, Workload
+from repro.traffic import Workload
 
 
 def ring(n, l, k):

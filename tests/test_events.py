@@ -7,7 +7,6 @@ recorded against the old inline ``trace.record`` calls) replay with
 identical hashes.
 """
 
-import json
 from pathlib import Path
 
 import pytest
@@ -140,31 +139,41 @@ class TestTraceAdapter:
     def test_occupancy_subscription_follows_trace_enablement(self):
         trace = TraceRecorder()       # slot.occupancy is opt-in: disabled
         bus = EventBus()
-        adapter = TraceAdapter(trace).attach(bus)
+        TraceAdapter(trace).attach(bus)
         assert bus.emitter(ev.SlotOccupancy) is NULL_EMITTER
         trace.enable("slot.occupancy")
-        adapter.refresh(bus)
         emit = bus.emitter(ev.SlotOccupancy)
         assert emit
         emit(4.0, 3, 8)
         assert trace.count("slot.occupancy") == 1
 
-    def test_direct_category_enabled_after_attach_needs_refresh(self):
+    def test_direct_category_enabled_after_attach_records_at_once(self):
         trace = TraceRecorder()
         trace.enable_only(["sat.rotation"])
         bus = EventBus()
-        adapter = TraceAdapter(trace).attach(bus)
+        TraceAdapter(trace).attach(bus)
         assert bus.emitter(ev.SatRelease) is NULL_EMITTER
         trace.enable("sat.release")
         bus.emitter(ev.SatRelease)(1.0, 0, 1)
-        assert trace.count("sat.release") == 0     # not subscribed yet
-        adapter.refresh(bus)
-        bus.emitter(ev.SatRelease)(2.0, 0, 1)
-        assert [e.time for e in trace.select("sat.release")] == [2.0]
+        assert [e.time for e in trace.select("sat.release")] == [1.0]
         trace.disable("sat.release", "sat.rotation")
-        adapter.refresh(bus)
         assert bus.emitter(ev.SatRelease) is NULL_EMITTER
         assert bus.emitter(ev.SatRotation) is NULL_EMITTER
+
+    def test_selective_renderings_follow_their_categories(self):
+        """The five selective renderings subscribe and drop with the
+        category each one writes, like the 1:1 ones."""
+        trace = TraceRecorder()
+        bus = EventBus()
+        TraceAdapter(trace).attach(bus)
+        assert bus.subscriber_count(ev.GatewayForward) == 1
+        trace.disable("gw.forward", "rap.close")
+        assert bus.emitter(ev.GatewayForward) is NULL_EMITTER
+        assert bus.emitter(ev.RapClose) is NULL_EMITTER
+        assert bus.subscriber_count(ev.GatewayDrop) == 1
+        trace.enable("rap.close")
+        bus.emitter(ev.RapClose)(1.0, 0, 7, None)
+        assert [e.category for e in trace.events] == ["rap.close"]
 
     def test_attach_keeps_the_legacy_fanout_order(self):
         """Direct renderings subscribe before later subscribers of the same
@@ -193,10 +202,17 @@ class TestNetworkWiring:
         assert isinstance(net.events, EventBus)
         assert net._trace_adapter is not None
 
-    def test_null_trace_skips_adapter(self):
+    def test_null_trace_adapter_subscribes_nothing(self):
         _, net = ring_net()      # defaults to NullTraceRecorder
         assert isinstance(net.trace, NullTraceRecorder)
-        assert net._trace_adapter is None
+        assert net._trace_adapter is not None
+        # only the network's own metrics listen: every event nothing else
+        # consumes keeps the null emitter
+        for etype in EVENT_TYPES:
+            assert all(cb.__qualname__.startswith("NetworkMetrics.")
+                       for cb in net.events.subscribers(etype)), etype
+        assert net.events.emitter(ev.SatRelease) is NULL_EMITTER
+        assert net.events.emitter(ev.GatewayForward) is NULL_EMITTER
 
     def test_external_bus_is_used_and_not_adapted(self):
         bus = EventBus()
@@ -224,6 +240,78 @@ class TestNetworkWiring:
         assert net.metrics.total_delivered == 3
         assert net.metrics.transmitted[ServiceClass.PREMIUM] == 3
         assert net.metrics.access_delay[ServiceClass.PREMIUM].count == 3
+
+
+def subscriber_names(bus):
+    """Event name -> its subscribers' qualified names, in fan-out order."""
+    return {etype.__name__: [cb.__qualname__ for cb in bus.subscribers(etype)]
+            for etype in EVENT_TYPES if bus.subscribers(etype)}
+
+
+_DIRECT_HANDLER = "TraceAdapter._direct_handler.<locals>.handler"
+
+#: every event with the trace adapter's 1:1 handler as its only
+#: subscriber on a default-traced ring (captured before the recorder's
+#: switches drove the adapter)
+_DIRECT_ONLY = (
+    "SatRotation", "SatRelease", "SatLost", "SatLinkLoss", "StationKilled",
+    "LeaveAnnounced", "StationInserted", "StationRemoved", "SatTimeout",
+    "GracefulCutout", "SatRecFailed", "SatRecovered", "RebuildStart",
+    "RebuildRetry", "RebuildDone", "RingDown", "TimerAdapted", "FalseSatRec",
+    "RapOpen", "RapRequest", "FrameDropped", "SatHopLost",
+    "SatStaleDiscarded", "CallStarted", "CallRefused", "CallEnded",
+    "CallCut", "GatewayBuffer", "CsmaCollision", "TptKill", "TptTokenLost",
+    "TptJoin", "TptTimeout", "TptTokenReissued", "TptProbeLost",
+    "TptRebuildStart", "TptDown", "TptRebuildDone", "TokenRotation",
+    "TptRap")
+
+
+class TestTraceSwitchboard:
+    """The recorder's switches alone decide what the adapter subscribes,
+    and a default recorder keeps the legacy fan-out order that corpus
+    trace hashes depend on."""
+
+    def test_default_ring_fanout_order_is_pinned(self):
+        from repro.scenarios import Scenario, build_scenario
+        expected = dict.fromkeys(_DIRECT_ONLY, [_DIRECT_HANDLER])
+        expected.update({
+            "SlotTransmit": ["NetworkMetrics._on_transmit"],
+            "SlotDeliver": ["NetworkMetrics._on_deliver"],
+            "PacketLost": ["NetworkMetrics._on_lost",
+                           "TraceAdapter._on_packet_lost"],
+            "PacketOrphaned": ["NetworkMetrics._on_orphaned",
+                               "TraceAdapter._on_packet_orphaned"],
+            "RapClose": ["TraceAdapter._on_rap_close"],
+            "GatewayForward": ["TraceAdapter._on_gw_forward"],
+            "GatewayDrop": ["TraceAdapter._on_gw_drop"],
+        })
+        built = build_scenario(Scenario())
+        assert subscriber_names(built.network.events) == expected
+
+    def test_traced_shard_fanout_order_is_pinned(self):
+        from repro.fabric import RingShard, Topology
+        shard = RingShard(Topology(rings=3, cross_flows=2, seed=1), 1)
+        names = subscriber_names(shard.net.events)
+        assert names["SlotDeliver"] == ["NetworkMetrics._on_deliver",
+                                        "RingShard._on_deliver"]
+        assert names["PacketLost"] == ["NetworkMetrics._on_lost",
+                                       "TraceAdapter._on_packet_lost",
+                                       "RingShard._on_ring_loss"]
+        assert names["PacketOrphaned"] == ["NetworkMetrics._on_orphaned",
+                                           "TraceAdapter._on_packet_orphaned",
+                                           "RingShard._on_ring_loss"]
+        assert names["GatewayForward"] == ["TraceAdapter._on_gw_forward"]
+
+    def test_trace_off_shard_subscribes_no_trace_handler(self):
+        from repro.fabric import RingShard, Topology
+        shard = RingShard(Topology(rings=3, cross_flows=2, seed=1), 1,
+                          trace=False)
+        names = subscriber_names(shard.net.events)
+        assert not [(event, cb) for event, cbs in names.items() for cb in cbs
+                    if cb.startswith("TraceAdapter.")]
+        for etype in (ev.GatewayForward, ev.GatewayDrop, ev.RapClose,
+                      ev.SatRelease):
+            assert shard.net.events.emitter(etype) is NULL_EMITTER
 
 
 class TestCorpusParity:

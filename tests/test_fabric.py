@@ -6,6 +6,8 @@ hash, same tables, same summaries — because rings only interact at
 gateway buffers drained in canonical order at absolute barrier ticks.
 """
 
+import hashlib
+import itertools
 import json
 import math
 import signal
@@ -94,6 +96,41 @@ class TestTopology:
         assert a == b
         c = Topology(rings=4, cross_flows=8, seed=10).resolved_flows()
         assert a != c
+
+    def test_generated_flows_pinned_across_a_grid(self):
+        """Hop counting changed from every ring pair to one BFS per drawn
+        source ring; the flow lists must not move (digest captured from
+        the all-pairs resolver)."""
+        digest = hashlib.sha256()
+        count = 0
+        for rings, layout, placement, flows, hops, seed in itertools.product(
+                (2, 3, 4, 7, 24), ("chain", "cycle", "star"),
+                ("first", "spread"), (0, 1, 5, 48), (1, 2, 3, 9), (0, 1, 2)):
+            topo = Topology(rings=rings, layout=layout,
+                            gateway_placement=placement, cross_flows=flows,
+                            min_ring_hops=hops, seed=seed)
+            rows = [[f.src_ring, f.src_station, f.dst_ring, f.dst_station]
+                    for f in topo.resolved_flows()]
+            digest.update(json.dumps(rows).encode())
+            count += 1
+        assert count == 1440
+        assert digest.hexdigest() == ("e2acc23c8c393a143245cee332b2cead"
+                                      "941805034f88a6807d8e8241c21f3eaa")
+
+    def test_isolated_ring_without_flows_runs(self):
+        topo = Topology(rings=3, cross_flows=0, horizon=50.0,
+                        links=[GatewayLink(0, 0, 1, 0)])
+        with FabricRunner(topo, mode="serial") as runner:
+            runner.run()
+            summary = runner.result().summary()
+        assert summary["clock"] == 50.0
+        assert summary["frames_created"] == 0
+
+    def test_flow_from_an_isolated_ring_names_it(self):
+        topo = Topology(rings=3, cross_flows=3,
+                        links=[GatewayLink(0, 0, 1, 0)])
+        with pytest.raises(ValueError, match="ring 2 reaches no other ring"):
+            topo.resolved_flows()
 
     def test_validation(self):
         with pytest.raises(ValueError):

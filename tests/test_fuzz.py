@@ -25,7 +25,7 @@ import pytest
 from repro.campaign.store import ResultStore
 from repro.core import Packet, ServiceClass, WRTRingConfig, WRTRingNetwork
 from repro.core.invariants import RingInvariantChecker
-from repro.fuzz import (FuzzCase, generate_case, hash_trace, run_case,
+from repro.fuzz import (FuzzCase, generate_case, run_case,
                         run_fuzz_campaign, shrink_case, verify_bundle,
                         write_bundle)
 from repro.faults import FaultSchedule

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import (Packet, QuotaConfig, ServiceClass, WRTRingConfig,
+from repro.core import (Packet, ServiceClass, WRTRingConfig,
                         WRTRingNetwork)
 from repro.gateway import DiffservLAN, Gateway, LanHost, LanPacket, StreamRequest
 from repro.sim import Engine
@@ -213,7 +213,6 @@ class TestGatewayForwarding:
 
     def test_admitted_premium_stream_meets_deadlines(self):
         """Fig. 2's promise: an admitted stream gets its guarantee."""
-        import random
         engine, net, lan, gw = bridge_setup(l=2, k=2)
         rate = gw._premium_capacity() * 0.5
         grant = gw.request_stream(StreamRequest(

@@ -32,7 +32,6 @@ def run_untraced(scenario, kernel):
     saturated windows run in bulk mode."""
     result = build_scenario(replace(scenario, kernel=kernel))
     result.trace.enable_only(())
-    result.network._trace_adapter.refresh(result.network.events)
     result.engine.run(until=scenario.horizon)
     return result
 

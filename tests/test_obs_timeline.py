@@ -166,7 +166,7 @@ class TestExportTimeline:
             n=6, horizon=2000.0, seed=3, rap_enabled=True,
             traffic=TrafficMix(kind="poisson", rate=0.05),
             faults=schedule))
-        enable_timeline_categories(built.trace, built.network)
+        enable_timeline_categories(built.trace)
         built.engine.run(until=2000.0)
 
         path = tmp_path / "run.json"
@@ -204,3 +204,16 @@ class TestOptInCategories:
         trace.record(1.0, "slot.occupancy", busy=1, capacity=4)
         trace.record(1.0, "sat.arrive", station=0)
         assert len(trace) == 2
+
+    def test_enabling_on_a_built_scenario_records_them(self):
+        """The recorder alone switches the categories: enabled after the
+        network is built, with no network passed, they still record."""
+        from repro.scenarios import Scenario, TrafficMix, build_scenario
+
+        built = build_scenario(Scenario(
+            n=6, horizon=300.0, seed=3,
+            traffic=TrafficMix(kind="poisson", rate=0.05)))
+        enable_timeline_categories(built.trace)
+        built.engine.run(until=300.0)
+        assert built.trace.count("sat.arrive") > 0
+        assert built.trace.count("slot.occupancy") > 0

@@ -10,7 +10,7 @@ from repro.events.types import PacketLost, SlotDeliver
 from repro.faults import FaultEvent, FaultSchedule
 from repro.qoe.capacity import (CAPACITY_SPEC, measure_fraction,
                                 voice_capacity)
-from repro.qoe.score import (G711_BPL, PerceptualScorer, burst_ratio,
+from repro.qoe.score import (PerceptualScorer, burst_ratio,
                              e_model_r, loss_runs, mos_from_r, score_outcomes)
 from repro.qoe.sessions import RAP_CALLER_BASE, CallsSpec
 from repro.scenarios import MobilitySpec, Scenario, TrafficMix, run_scenario

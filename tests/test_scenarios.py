@@ -4,8 +4,8 @@ import pytest
 
 from repro.core import QuotaConfig, ServiceClass
 from repro.faults import FaultSchedule
-from repro.scenarios import (MobilitySpec, Scenario, ScenarioResult,
-                             TrafficMix, run_scenario)
+from repro.scenarios import (MobilitySpec, Scenario, TrafficMix,
+                             run_scenario)
 
 
 class TestValidation:

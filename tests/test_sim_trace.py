@@ -81,11 +81,6 @@ class TestFiltering:
         tr.record(1.0, "c")
         assert tr.count("c") == 1
 
-    def test_globally_disabled(self):
-        tr = TraceRecorder(enabled=False)
-        tr.record(1.0, "x")
-        assert len(tr) == 0
-
 
 class TestCategoryIndex:
     """select/times/last answer from the per-category index — it must stay
@@ -195,6 +190,18 @@ class TestExport:
         tr.to_jsonl(path)
         back = TraceRecorder.from_jsonl(path)
         assert isinstance(back.events[0]["payload"], str)
+
+    def test_round_trip_keeps_opt_in_records(self, tmp_path):
+        tr = TraceRecorder()
+        tr.enable(*TraceRecorder.OPT_IN)
+        tr.record(1.0, "sat.arrive", station=0)
+        tr.record(2.0, "slot.occupancy", busy=1, capacity=4)
+        tr.record(3.0, "sat.release", station=0, to=1)
+        path = tmp_path / "opt_in.jsonl"
+        assert tr.to_jsonl(path) == 3
+        back = TraceRecorder.from_jsonl(path)
+        assert [(e.time, e.category, e.fields) for e in back] == \
+            [(e.time, e.category, e.fields) for e in tr]
 
     def test_live_network_trace_exports(self, tmp_path):
         from repro.core import WRTRingConfig, WRTRingNetwork

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core import Packet, ServiceClass, WRTRingConfig, WRTRingNetwork
+from repro.core import ServiceClass, WRTRingConfig, WRTRingNetwork
 from repro.sim import Engine, RandomStreams
 from repro.traffic import (BacklogSource, CBRSource, FlowSpec, OnOffSource,
                            PoissonSource, VideoSource, Workload)
