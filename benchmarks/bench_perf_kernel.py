@@ -133,15 +133,17 @@ def test_perf_dataplane_decide_layer(benchmark):
     """2k decision-layer passes over a backlogged 32-station ring.
 
     ``_decide_slot`` is the pure half of the ``_tick_body`` split: it
-    writes class picks into a preallocated buffer without popping queues
-    or emitting, so repeated calls are side-effect free and must not
-    allocate per tick.
+    visits the awake stations (every station here: each holds a backlog)
+    and writes their class picks into a preallocated buffer without
+    popping queues or emitting, so repeated calls are side-effect free
+    and must not allocate per tick.
     """
     engine, net, _ = _backlogged_ring()
     net.start()
     _prefill_successor(net, 5, 3)
     members = [net.stations[sid] for sid in net.order]
     buffer_before = net._slot_picks
+    occupied_before = net._slot_occupied
 
     def run():
         for _ in range(2000):
@@ -149,8 +151,13 @@ def test_perf_dataplane_decide_layer(benchmark):
         return net._slot_picks
 
     buffer_after = benchmark(run)
-    # the picks buffer is reused, never rebuilt per tick
+    # the picks buffer and the occupied list are reused, never rebuilt
+    # per tick
     assert buffer_after is buffer_before
+    assert net._slot_occupied is occupied_before
+    # every pass decided every position: a Premium send at each station
+    assert net._slot_occupied == list(range(len(members)))
+    assert set(buffer_after) == {0}
     assert benchmark.stats["mean"] < 1.0
 
 

@@ -496,10 +496,13 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
         return 0
 
     trace = not args.no_trace
+    timeline = args.timeline is not None
+    if timeline and not trace:
+        raise SystemExit("--timeline needs tracing; drop --no-trace")
 
     def execute(mode):
-        with FabricRunner(topo, mode=mode, trace=trace,
-                          observe=args.metrics) as runner:
+        with FabricRunner(topo, mode=mode, trace=trace, observe=args.metrics,
+                          timeline=timeline) as runner:
             runner.run()
             return runner.result(include_trace=trace)
 
@@ -527,9 +530,7 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
     payload = result.summary()
     if args.metrics:
         payload["metrics"] = result.merged_metrics()
-    if args.timeline is not None:
-        if not trace:
-            raise SystemExit("--timeline needs tracing; drop --no-trace")
+    if timeline:
         count = export_merged_timeline(args.timeline, result)
         payload["timeline"] = {"path": args.timeline, "events": count}
     if args.json:

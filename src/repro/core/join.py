@@ -133,11 +133,10 @@ class JoinManager:
         return max(self.net.config.s_round, self.net.n)
 
     def maybe_enter_rap(self, holder: int, t: float) -> bool:
-        """Called on every SAT arrival; opens a RAP when this station is due
-        and the mutex is free."""
+        """Called on every SAT arrival of a ring that runs RAPs
+        (``config.rap_enabled``); opens a RAP when this station is due and
+        the mutex is free."""
         net = self.net
-        if not net.config.rap_enabled:
-            return False
         count = self._countdown.get(holder)
         if count is None:
             # stagger initial duties so roughly one station is due per round

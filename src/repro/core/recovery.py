@@ -192,7 +192,8 @@ class RecoveryManager:
             self._arm(arm_new, bound)
 
     def observe_rotation(self, sid: int, rotation: float) -> None:
-        """Feed one measured SAT rotation into ``sid``'s estimator.
+        """Feed one measured SAT rotation into ``sid``'s estimator (the
+        ring calls this only with adaptive timers on).
 
         Karn's rule: a sample taken while a recovery episode or a ring
         rebuild is in progress is excluded — it measures the repair, not
@@ -200,8 +201,6 @@ class RecoveryManager:
         occur at all: cut-outs and rebuilds reset every station's
         ``last_sat_arrival``, starting a fresh measurement epoch.)
         """
-        if not self.adaptive:
-            return
         est = self.estimators.get(sid)
         if est is None:
             est = self.estimators[sid] = RttEstimator()

@@ -35,13 +35,16 @@ Emit sites hold per-event emitter callables (rebound by the bus whenever
 subscriptions change), so an unobserved event costs one no-op call and an
 unobserved *computation* is skipped via the emitter's falsiness.
 
-The dataplane's cost follows the occupied stations: the decision layer
-settles a station without own traffic in one test (transit or idle) and
-lists the occupied positions, and the effects layer walks only that list.
+The dataplane's cost follows the awake stations, those that may hold a
+packet: the decision layer visits only them, settles one without own
+traffic in one test (transit or idle) and lists the occupied positions,
+and the effects layer walks only that list.  A slot with no station awake
+runs no dataplane at all.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.bounds import sat_rotation_bound
@@ -54,6 +57,7 @@ from repro.core.sat import SAT, RotationLog
 from repro.core.station import WRTRingStation
 from repro.events import EventBus, TraceAdapter
 from repro.events import types as _ev
+from repro.events.bus import NULL_EMITTER
 from repro.phy.cdma import BROADCAST_CODE, CodeSpace, assign_codes_sequential
 from repro.phy.channel import Frame, SlottedChannel
 from repro.sim.engine import Engine
@@ -394,14 +398,24 @@ class WRTRingNetwork:
         """Rebuild the hot-path member cache after a membership change:
         the in-order station list (so the per-slot loops stop doing a dict
         lookup per station), each member's successor hint + non-successor
-        recount, and the preallocated per-slot scratch buffers."""
+        recount, the awake positions with each member's wake hook, and the
+        preallocated per-slot scratch buffers."""
         members = [self.stations[sid] for sid in self.order]
         self._members = members
         n = len(members)
         for st in self.stations.values():
             st._succ_sid = None
+            st._wake = NULL_EMITTER
+        #: positions of the members that may hold a packet: a packet
+        #: entering a class queue (``WRTRingStation.enqueue``) or a transit
+        #: buffer (phase B) wakes its station, and ``_decide_slot`` lets a
+        #: station whose four buffers are empty fall asleep
+        awake = self._awake = set()
         for i, st in enumerate(members):
             st._succ_sid = members[(i + 1) % n].sid
+            st._wake = partial(awake.add, i)
+            if st.transit or st.rt_queue or st.as_queue or st.be_queue:
+                awake.add(i)
         for st in self.stations.values():
             succ = st._succ_sid
             st._nonsucc = sum(
@@ -490,7 +504,18 @@ class WRTRingNetwork:
         else:
             paused = t < self.pause_until
             if not paused:
-                self._dataplane(t)
+                # dataplane: decide over the awake stations, then apply; a
+                # slot with nothing awake moves no packet
+                members = self._members
+                busy = 0
+                if self._awake:
+                    self._decide_slot(members)
+                    busy = len(self._slot_occupied)
+                    self._apply_slot(t, members)
+                # slot-occupancy sampling for the timeline exporter:
+                # subscribed only while the opt-in trace category is enabled
+                if self._ev_occupancy:
+                    self._ev_occupancy(t, busy, len(members))
                 self._sat_step(t)
             else:
                 self.join_manager.on_rap_tick(t)
@@ -517,40 +542,39 @@ class WRTRingNetwork:
     # dataplane
     # ------------------------------------------------------------------
     #: decision codes for one slot: 0..2 index COLUMN_CLASSES (own traffic),
-    #: _PICK_TRANSIT forwards from the insertion buffer, _PICK_IDLE is empty
+    #: _PICK_TRANSIT forwards from the insertion buffer, _PICK_IDLE is an
+    #: empty position (never written: only occupied positions get a code)
     _PICK_IDLE = -1
     _PICK_TRANSIT = 3
 
-    def _dataplane(self, t: float) -> None:
-        members = self._members
-        self._decide_slot(members)
-        self._apply_slot(t, members)
-
     def _decide_slot(self, members: List[WRTRingStation]) -> None:
-        """Decision layer: what occupies each ring position this slot —
-        transit forwarding, one of the station's own classes, or nothing.
-        Pure: no queue pops, no quota spend, no emits; writes decision
-        codes into the preallocated ``_slot_picks`` buffer and lists the
-        occupied positions, in ascending order, in ``_slot_occupied``."""
+        """Decision layer: what occupies each awake ring position this
+        slot — transit forwarding, one of the station's own classes, or
+        nothing.  A sleeping station holds no packet, so it would idle.
+        Pure: no queue pops, no quota spend, no emits; lists the occupied
+        positions, in ascending order, in ``_slot_occupied`` and writes
+        their decision codes into the preallocated ``_slot_picks`` buffer.
+        An awake station whose four buffers are empty falls asleep."""
         picks = self._slot_picks
         occupied = self._slot_occupied
         occupied.clear()
         busy = occupied.append
-        idle = self._PICK_IDLE
+        awake = self._awake
         transit = self._PICK_TRANSIT
         transit_first = self.config.transit_priority
-        for idx, st in enumerate(members):
+        for idx in sorted(awake):
+            st = members[idx]
             if not (st.rt_queue or st.as_queue or st.be_queue):
                 # no own traffic, so the send algorithm picks no class:
                 # only transit can fill the slot, whatever the transit
-                # priority or leave state (most stations, most slots)
-                if st.transit and st.alive:
+                # priority or leave state
+                if not st.transit:
+                    awake.discard(idx)
+                elif st.alive:
                     picks[idx] = transit
                     busy(idx)
-                else:
-                    picks[idx] = idle
             elif not st.alive:
-                picks[idx] = idle
+                pass   # a dead station idles until it is cut out
             elif transit_first and st.transit:
                 picks[idx] = transit
                 busy(idx)
@@ -562,19 +586,16 @@ class WRTRingNetwork:
                 elif st.transit:
                     picks[idx] = transit
                     busy(idx)
-                else:
-                    picks[idx] = idle
             elif st.transit:
                 picks[idx] = transit
                 busy(idx)
-            else:
-                picks[idx] = idle
 
     def _apply_slot(self, t: float, members: List[WRTRingStation]) -> None:
         """Effects layer: spend the decided authorizations (phase A) and
         advance every occupied slot one hop simultaneously (phase B),
         emitting in exactly the legacy order.  Both phases walk only the
-        occupied positions :meth:`_decide_slot` listed."""
+        occupied positions :meth:`_decide_slot` listed; a packet entering
+        a transit buffer wakes its station."""
         picks = self._slot_picks
         occupied = self._slot_occupied
         outputs = self._slot_outputs
@@ -641,11 +662,7 @@ class WRTRingNetwork:
                 self._ev_orphaned(t, pkt, "ttl")
             else:
                 receiver.transit.append(pkt)
-
-        # slot-occupancy sampling for the timeline exporter: subscribed only
-        # while the opt-in trace category is enabled
-        if self._ev_occupancy:
-            self._ev_occupancy(t, len(occupied), n)
+                receiver._wake()
 
     def add_delivery_callback(self, sid: int,
                               callback: Callable[[Packet, float], None]) -> None:
@@ -688,20 +705,77 @@ class WRTRingNetwork:
     # SAT circulation
     # ------------------------------------------------------------------
     def _sat_step(self, t: float) -> None:
+        """One slot of the Sec. 2.2 SAT algorithm: the signal's arrival at
+        the next station, the visit's bookkeeping, and its release when
+        the holder is satisfied.  The rare branches (stale signal,
+        SAT_REC, graceful cut-out, signal loss) call the recovery helpers.
+        Every emit may run a subscriber that changes the ring, so each
+        step re-reads what it depends on after the emits before it."""
         if self._sat_lost:
             return
         sat = self.sat
 
-        if sat.in_flight:
+        holder = sat.in_flight_to
+        if holder is not None:
+            # arrival
             if sat.arrival_time > t:
                 return
-            holder = sat.arrive()
-            if holder not in self._pos or not self.stations[holder].alive:
+            sat.arrive()
+            pos = self._pos.get(holder)
+            if pos is None or not self._members[pos].alive:
                 # transmitted into a void: signal lost with the station
                 self.drop_sat()
                 return
-            self._on_sat_arrival(holder, t)
-            if self._sat_lost or sat.in_flight or t < self.pause_until:
+            station = self._members[pos]
+
+            # freshness: the receiver discards a stale/duplicate signal (a
+            # forged duplicate bumped its sequence horizon past the real
+            # one); from the ring's perspective the control signal is gone
+            # and the Sec. 2.5 watchdogs take over
+            if not self._sat_seq_fresh(holder, sat.seq, t):
+                self.drop_sat()
+                return
+
+            # SAT_REC (Sec. 2.5): recovery forwards it, or completes the
+            # cut-out here and turns it back into a normal SAT held here
+            if sat.kind == SAT.RECOVERY:
+                self.recovery.on_sat_rec_arrival(holder, t)
+                if self._sat_lost or sat.kind == SAT.RECOVERY:
+                    return
+                pos = self._pos[holder]   # the cut-out re-indexed the ring
+
+            # graceful cut-out (Sec. 2.4.2): the successor of a leaving
+            # station converts the SAT into a SAT_REC cutting it out
+            pred = self._members[pos - 1]
+            if pred.leaving and sat.kind == SAT.NORMAL:
+                self.recovery.start_graceful_cutout(
+                    failed=pred.sid, originator=holder, t=t)
+                return
+
+            # visit bookkeeping (``satisfied`` is read off the station's
+            # attributes each time: the emit before may have changed them)
+            self._ev_sat_arrive(t, holder, sat.kind)
+            if not (station.leaving or station.rt_pck >= station.quota.l
+                    or not station.rt_queue):
+                self._ev_sat_hold(t, holder)
+            rotation = station.on_sat_arrival(t)
+            if rotation is not None:
+                self.rotation_log.add(holder, rotation)
+                if self.recovery.adaptive:
+                    self.recovery.observe_rotation(holder, rotation)
+                self._ev_sat_rotation(t, holder, rotation)
+            if holder == self.order[0]:
+                sat.rounds += 1
+                self.rotation_log.mark_round(sat.hops)
+            # RAP mutex release: one full round after the owner set it
+            if sat.rap_owner == holder and t >= self.pause_until:
+                sat.rap_mutex = False
+                sat.rap_owner = None
+            # RAP entry (Sec. 2.4.1)
+            if self.config.rap_enabled:
+                self.join_manager.maybe_enter_rap(holder, t)
+            if (self._sat_lost or sat.in_flight_to is not None
+                    or t < self.pause_until):
                 return
 
         holder = sat.at_station
@@ -711,60 +785,18 @@ class WRTRingNetwork:
         if not station.alive:
             self.drop_sat()
             return
-        if station.satisfied:
-            self._release_sat(holder, t)
+        if not (station.leaving or station.rt_pck >= station.quota.l
+                or not station.rt_queue):
+            return   # not satisfied: the station holds the SAT
 
-    def _on_sat_arrival(self, holder: int, t: float) -> None:
-        sat = self.sat
-        station = self.stations[holder]
-
-        if not self._sat_seq_fresh(holder, sat.seq, t):
-            # the receiver discarded a stale/duplicate signal (a forged
-            # duplicate bumped its sequence horizon past the real one):
-            # from the ring's perspective the control signal is gone and
-            # the Sec. 2.5 watchdogs take over
-            self.drop_sat()
-            return
-
-        if sat.kind == SAT.RECOVERY:
-            self.recovery.on_sat_rec_arrival(holder, t)
-            if self._sat_lost or sat.kind == SAT.RECOVERY:
-                return
-            # recovery just completed and the signal became a normal SAT
-            # held here; fall through to normal processing below.
-
-        # graceful leave: the successor of a leaving station converts the
-        # SAT into a SAT_REC cutting its predecessor out (Sec. 2.4.2)
-        pred = self.predecessor(holder)
-        if self.stations[pred].leaving and sat.kind == SAT.NORMAL:
-            self.recovery.start_graceful_cutout(failed=pred, originator=holder, t=t)
-            return
-
-        self._ev_sat_arrive(t, holder, sat.kind)
-        if not station.satisfied:
-            self._ev_sat_hold(t, holder)
-        rotation = station.on_sat_arrival(t)
-        if rotation is not None:
-            self.rotation_log.add(holder, rotation)
-            self.recovery.observe_rotation(holder, rotation)
-            self._ev_sat_rotation(t, holder, rotation)
-        if holder == self.order[0]:
-            sat.rounds += 1
-            self.rotation_log.mark_round(sat.hops)
-
-        # RAP mutex release: one full round after the owner set it
-        if sat.rap_owner == holder and t >= self.pause_until:
-            sat.rap_mutex = False
-            sat.rap_owner = None
-
-        self.join_manager.maybe_enter_rap(holder, t)
-
-    def _release_sat(self, holder: int, t: float) -> None:
-        sat = self.sat
-        station = self.stations[holder]
+        # release: clear the round counters and kick the watchdog
         station.on_sat_release(t)
-        self.recovery.restart_timer(holder)
-        nxt = self.successor(holder)
+        rec = self.recovery
+        bound = self._sat_bound_cache
+        if bound is None or rec.adaptive:
+            bound = rec._bound_for(holder)
+        rec._arm(holder, bound)
+        nxt = station._succ_sid
         if self.config.enforce_radio_links and not self.reachable(holder, nxt):
             # the ring link broke under the SAT: the signal is lost in the
             # air and the Sec. 2.5 watchdogs will recover
@@ -781,6 +813,7 @@ class WRTRingNetwork:
                 self._ev_sat_hop_lost(t, holder, nxt, sat.kind, reason)
                 self.drop_sat()
                 return
+        # hand-off: stamp the rotation seq and depart towards the successor
         sat.seq = self.next_sat_seq()
         sat.depart(nxt, t + self.config.sat_hop_slots)
         self._ev_sat_release(t, holder, nxt)

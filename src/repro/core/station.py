@@ -35,6 +35,13 @@ class WRTRingStation:
 
     def __init__(self, sid: int, quota: QuotaConfig):
         self.sid = sid
+        #: wake hook, installed per member by the owning network: marks
+        #: this station's ring position as holding a packet, so the
+        #: network's decision layer visits it (a no-op on a standalone
+        #: station).  Set here rather than as a class default: a later
+        #: first assignment would outgrow the instance dict's shared-key
+        #: layout, about 0.8 kB more per station
+        self._wake = NULL_EMITTER
         #: ring-successor hint plus an incremental count of queued packets
         #: *not* addressed to it — the batched kernel's saturated path may
         #: only engage while every buffered packet is one hop from delivery.
@@ -86,6 +93,7 @@ class WRTRingStation:
         packet.t_enqueue = now
         queue = self._queue_for(packet.service)
         queue.append(packet)
+        self._wake()
         if packet.dst != self._succ_sid:
             self._nonsucc += 1
         self.enqueued[packet.service] += 1

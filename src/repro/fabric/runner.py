@@ -188,9 +188,12 @@ class FabricRunner:
     """
 
     def __init__(self, topology: Topology, mode: str = "serial",
-                 trace: bool = True, observe: bool = False):
+                 trace: bool = True, observe: bool = False,
+                 timeline: bool = False):
         if mode not in ("serial", "sharded"):
             raise ValueError(f"unknown fabric mode {mode!r}")
+        if timeline and not trace:
+            raise ValueError("a timeline needs tracing")
         self.topology = topology
         self.mode = mode
         self.trace = trace
@@ -202,7 +205,7 @@ class FabricRunner:
         if mode == "serial":
             from repro.fabric.shard import RingShard
             self._shards = [RingShard(topology, ring, trace=trace,
-                                      observe=observe)
+                                      observe=observe, timeline=timeline)
                             for ring in range(topology.rings)]
             bounds = [s.sat_bound() for s in self._shards]
         else:
@@ -216,7 +219,7 @@ class FabricRunner:
                 parent, child = ctx.Pipe(duplex=True)
                 proc = ctx.Process(target=_shard_entry,
                                    args=(child, ring, topo_dict,
-                                         trace, observe))
+                                         trace, observe, timeline))
                 proc.start()
                 child.close()
                 self._procs.append(proc)

@@ -55,7 +55,7 @@ class RingShard:
     _ev_buffer = NULL_EMITTER
 
     def __init__(self, topo: Topology, ring: int, trace: bool = True,
-                 observe: bool = False):
+                 observe: bool = False, timeline: bool = False):
         self.topo = topo
         self.ring = ring
         self.result = build_scenario(topo.ring_scenario(ring))
@@ -66,6 +66,11 @@ class RingShard:
             # record nothing: the trace adapter drops every subscription,
             # so no emit site renders a record to discard
             self.trace.enable_only(())
+        elif timeline:
+            # the opt-in categories behind the timeline's SAT-hold and
+            # slot-occupancy tracks
+            from repro.obs.timeline import enable_timeline_categories
+            enable_timeline_categories(self.trace)
         #: neighbour ring -> gateway link
         self.links = dict(topo.ring_neighbours()[ring])
         #: neighbour ring -> [(frame, t_buffered), ...]

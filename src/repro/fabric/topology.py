@@ -179,6 +179,32 @@ class Topology:
         if not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise ValueError(
                 f"horizon must be finite and positive, got {self.horizon!r}")
+        # explicit rows must name rings and stations of this fabric, and a
+        # shard keeps one link per neighbour ring
+        pairs: Dict[Tuple[int, int], int] = {}
+        for i, link in enumerate(self.links or ()):
+            row = (f"links[{i}] [{link.ring_a}, {link.station_a}, "
+                   f"{link.ring_b}, {link.station_b}]")
+            self._check_endpoint(row, link.ring_a, link.station_a)
+            self._check_endpoint(row, link.ring_b, link.station_b)
+            first = pairs.setdefault(link.key(), i)
+            if first != i:
+                raise ValueError(f"{row} joins the rings links[{first}] "
+                                 f"already joins; one link per ring pair")
+        for i, flow in enumerate(self.flows or ()):
+            row = (f"flows[{i}] ring {flow.src_ring} station "
+                   f"{flow.src_station} -> ring {flow.dst_ring} station "
+                   f"{flow.dst_station}")
+            self._check_endpoint(row, flow.src_ring, flow.src_station)
+            self._check_endpoint(row, flow.dst_ring, flow.dst_station)
+
+    def _check_endpoint(self, row: str, ring: int, station: int) -> None:
+        if not 0 <= ring < self.rings:
+            raise ValueError(f"{row}: ring {ring} is outside "
+                             f"[0, {self.rings})")
+        if not 0 <= station < self.ring_size:
+            raise ValueError(f"{row}: station {station} is outside "
+                             f"[0, {self.ring_size})")
 
     @property
     def stations(self) -> int:

@@ -47,6 +47,9 @@ __all__ = ["Engine", "EventHandle", "SimulationError", "SchedulingError"]
 #: below this agenda size compaction is not worth the heapify
 _COMPACT_MIN = 64
 
+#: how close to a slot-grid point a time must be to snap onto it
+_SNAP_EPS = 1e-9
+
 
 class SimulationError(RuntimeError):
     """Base class for kernel errors."""
@@ -159,7 +162,7 @@ class Engine:
     # ------------------------------------------------------------------
     @staticmethod
     def snap_to_grid(time: float, quantum: float = 1.0,
-                     eps: float = 1e-9) -> float:
+                     eps: float = _SNAP_EPS) -> float:
         """Snap ``time`` to the nearest multiple of ``quantum`` when it is
         within ``eps`` (absolute) of one; off-grid times pass through.
 
@@ -205,7 +208,18 @@ class Engine:
         """
         if handle.cancelled or handle.engine is not self:
             raise SchedulingError(f"{handle!r} is not pending on this engine")
-        time = self._event_time(time)
+        # :meth:`_event_time` inlined, snapping included: every SAT
+        # hand-off kicks a watchdog through here
+        if time != time:
+            raise SchedulingError("cannot schedule at NaN")
+        quantum = self.slot_quantum
+        if quantum is not None:
+            snapped = round(time / quantum) * quantum
+            if abs(time - snapped) <= _SNAP_EPS:
+                time = snapped
+        if time < self.now:
+            raise SchedulingError(
+                f"cannot schedule at {time!r}; current time is {self.now!r}")
         self._seq += 1
         earlier = time < handle.time
         handle.time = time

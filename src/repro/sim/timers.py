@@ -73,8 +73,9 @@ class Timer:
                 raise ValueError(f"timer duration must be positive, got {duration!r}")
             self.duration = duration
         engine = self.engine
-        if self.running:
-            engine.reschedule_at(self._handle, engine.now + self.duration)
+        handle = self._handle
+        if handle is not None and not handle.cancelled:   # running
+            engine.reschedule_at(handle, engine.now + self.duration)
         else:
             self._handle = engine.schedule(self.duration, self._expire)
 

@@ -355,6 +355,9 @@ class TestSparseDecide:
             st.as_pck = max(0, q.k1 - rng.randint(0, 1))
             st.be_pck = max(0, q.k2 - rng.randint(0, 1))
             st.nrt_pck = max(0, q.k - rng.randint(0, 1))
+        # the queues were filled by hand, not through enqueue: wake the
+        # stations holding packets as a membership rebuild does
+        net._refresh_members()
         return net
 
     def test_matches_full_rule_on_random_states(self):
@@ -366,9 +369,12 @@ class TestSparseDecide:
             depths = [st.queue_depths() for st in members]
             expected = reference_picks(net, members)
             net._decide_slot(members)
-            assert net._slot_picks == expected
+            # the occupied positions and their codes; an idle position
+            # gets no code
             assert net._slot_occupied == [i for i, c in enumerate(expected)
                                           if c >= 0]
+            assert ([net._slot_picks[i] for i in net._slot_occupied]
+                    == [c for c in expected if c >= 0])
             # pure: nothing was popped
             assert [st.queue_depths() for st in members] == depths
             seen.update(expected)
@@ -378,9 +384,100 @@ class TestSparseDecide:
         _, net = make_net(4)
         occupied = net._slot_occupied
         net.stations[1].transit.append(pkt(0, 2))
+        net.stations[1]._wake()   # appended by hand: wake the station
         net._decide_slot(net._members)
         net._decide_slot(net._members)
         assert net._slot_occupied is occupied and occupied == [1]
+
+
+@pytest.fixture
+def decide_checked(monkeypatch):
+    """Check every slot's decision against ``reference_picks`` over all
+    members, for whole runs: each ``_decide_slot`` call must list the
+    reference's occupied positions with its codes, and a slot the ring
+    decides nothing in (no station awake) must be one where the reference
+    finds no position occupied.  Yields the call counts."""
+    counts = {"decided": 0, "skipped": 0}
+    decided_in = {}   # id(net) -> did the running tick body decide?
+    decide = WRTRingNetwork._decide_slot
+    tick_body = WRTRingNetwork._tick_body
+    sat_step = WRTRingNetwork._sat_step
+
+    def occupied(expected):
+        return {i: c for i, c in enumerate(expected) if c >= 0}
+
+    def checked_decide(net, members):
+        expected = occupied(reference_picks(net, members))
+        decide(net, members)
+        got = {i: net._slot_picks[i] for i in net._slot_occupied}
+        assert got == expected, (net.engine.now, got, expected)
+        assert net._slot_occupied == sorted(expected)
+        decided_in[id(net)] = True
+        counts["decided"] += 1
+
+    def checked_tick_body(net, t):
+        decided_in[id(net)] = False
+        try:
+            return tick_body(net, t)
+        finally:
+            del decided_in[id(net)]
+
+    def checked_sat_step(net, t):
+        # called right after the dataplane inside a tick body (and on its
+        # own by a batched saturated window, which the check leaves alone)
+        if decided_in.get(id(net)) is False:
+            expected = occupied(reference_picks(net, net._members))
+            assert expected == {}, (t, expected)
+            counts["skipped"] += 1
+        return sat_step(net, t)
+
+    monkeypatch.setattr(WRTRingNetwork, "_decide_slot", checked_decide)
+    monkeypatch.setattr(WRTRingNetwork, "_tick_body", checked_tick_body)
+    monkeypatch.setattr(WRTRingNetwork, "_sat_step", checked_sat_step)
+    yield counts
+
+
+class TestAwakeDecideDifferential:
+    """The decision layer visits only awake stations; over whole runs —
+    kills, leaves, joins, rebuilds, impairments, fabric gateways — it must
+    decide exactly what the full rule over every member decides."""
+
+    def test_parity_grid(self, decide_checked):
+        from repro.kernel.diff import seeded_grid
+        from repro.scenarios import run_scenario
+        for scenario in seeded_grid():
+            run_scenario(scenario)
+        assert decide_checked["decided"] > 0
+        assert decide_checked["skipped"] > 0
+
+    @pytest.mark.parametrize("index", range(40))
+    def test_generated_case(self, decide_checked, index):
+        from repro.fuzz.generate import generate_case
+        from repro.fuzz.runner import run_case
+        result = run_case(generate_case(20260808, index))
+        assert result.ok, result.failures
+        assert decide_checked["decided"] + decide_checked["skipped"] > 0
+
+    def test_conference_call_example(self, decide_checked):
+        import os
+        from repro.config_io import load_scenario
+        from repro.scenarios import run_scenario
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "examples", "conference_call.json")
+        run_scenario(load_scenario(path))
+        assert decide_checked["decided"] > 0
+        assert decide_checked["skipped"] > 0
+
+    def test_three_ring_fabric(self, decide_checked):
+        from repro.fabric import FabricRunner, Topology
+        topo = Topology(rings=3, ring_size=8, layout="chain", cross_flows=6,
+                        flow_period=8.0, horizon=600.0, seed=3)
+        with FabricRunner(topo, mode="serial") as runner:
+            runner.run()
+            summary = runner.result().summary()
+        assert summary["frames_completed"] > 0
+        assert decide_checked["decided"] > 0
+        assert decide_checked["skipped"] > 0
 
 
 class TestSlotOccupancy:

@@ -18,8 +18,9 @@ import pytest
 from repro.core.packet import ServiceClass
 from repro.fabric import (CrossFlow, FabricFrame, FabricRunner, GatewayLink,
                           RingShard, Topology, export_merged_timeline,
-                          load_topology, merged_trace_lines, run_fabric_point,
-                          save_topology, topology_from_dict, topology_to_dict)
+                          load_topology, merged_timeline, merged_trace_lines,
+                          run_fabric_point, save_topology, topology_from_dict,
+                          topology_to_dict)
 
 
 def small_topology(**kwargs) -> Topology:
@@ -167,6 +168,34 @@ class TestTopology:
         # only the parameter the flow's kind uses is checked
         Topology(flow_kind="poisson", flow_period=0.0)
         Topology(flow_kind="cbr", flow_rate=0.0)
+        # explicit rows name rings and stations of the fabric, one link per
+        # ring pair (a shard keeps one link per neighbour: a second never
+        # carries a frame, and an out-of-range row fails or drops later)
+        bad_rows = [
+            (dict(links=[GatewayLink(0, 0, 1, 0), GatewayLink(1, 5, 0, 3)]),
+             r"links\[1\] \[1, 5, 0, 3\] joins the rings links\[0\]"),
+            (dict(links=[GatewayLink(0, 0, 5, 0)]),
+             r"links\[0\] \[0, 0, 5, 0\]: ring 5 is outside \[0, 2\)"),
+            (dict(links=[GatewayLink(-1, 0, 1, 0)]),
+             r"links\[0\] .*: ring -1 is outside"),
+            (dict(links=[GatewayLink(0, 99, 1, 0)]),
+             r"links\[0\] \[0, 99, 1, 0\]: station 99 is outside \[0, 6\)"),
+            (dict(links=[GatewayLink(0, 0, 1, 6)]),
+             r"links\[0\] .*: station 6 is outside"),
+            (dict(flows=[CrossFlow(0, 1, 1, 2), CrossFlow(0, 1, 1, 99)]),
+             r"flows\[1\] ring 0 station 1 -> ring 1 station 99: "
+             r"station 99 is outside \[0, 6\)"),
+            (dict(flows=[CrossFlow(0, 99, 1, 2)]),
+             r"flows\[0\] .*: station 99 is outside"),
+            (dict(flows=[CrossFlow(0, 1, 2, 2)]),
+             r"flows\[0\] .*: ring 2 is outside \[0, 2\)"),
+        ]
+        for rows, message in bad_rows:
+            with pytest.raises(ValueError, match=message):
+                Topology(rings=2, ring_size=6, **rows)
+        # the edges of the ranges are fine
+        Topology(rings=2, ring_size=6, links=[GatewayLink(1, 5, 0, 0)],
+                 flows=[CrossFlow(1, 5, 0, 0)])
 
     def test_dict_round_trip(self):
         topo = small_topology(frame_ttl=300.0, sync_window=64.0,
@@ -393,6 +422,43 @@ class TestObsRollup:
         doc = json.loads(path.read_text())
         pids = {ev["pid"] for ev in doc["traceEvents"]}
         assert pids == {r + 1 for r in range(result.topology.rings)}
+
+    #: a 3-ring fabric loaded enough that some station holds the SAT
+    TIMELINE_TOPO = dict(rings=3, ring_size=6, cross_flows=3,
+                         flow_period=4.0, horizon=300.0, seed=7)
+    #: its per-ring (trace_len, trace_digest) without a timeline, as the
+    #: fabric recorded them before the timeline request reached the shards
+    RING_TRACES = [
+        (596, "fd66379f08b1dccd91c1f1e300fb82983d87c7ff646c5e75f9a82aa6148de1ee"),
+        (918, "8c6fe1ded55ee784991d252072203d810e6f0980fcd8893f5fcc37b093f21f0c"),
+        (884, "1b78e9078e6347cf46004187dd885611397427bb9987759ba7472bb2943c3ad6"),
+    ]
+
+    def test_ring_traces_without_timeline_are_pinned(self):
+        result = run_fabric(Topology(**self.TIMELINE_TOPO), "serial")
+        assert [(r["trace_len"], r["trace_digest"])
+                for r in sorted(result.reports, key=lambda r: r["ring"])] \
+            == self.RING_TRACES
+
+    @pytest.mark.parametrize("mode", ["serial", "sharded"])
+    def test_timeline_request_fills_sat_and_occupancy_tracks(self, mode):
+        result = run_fabric(Topology(**self.TIMELINE_TOPO), mode,
+                            timeline=True)
+        events = merged_timeline(result)
+        holds = [ev for ev in events
+                 if ev.get("ph") == "X" and ev.get("cat") == "sat"]
+        assert holds and any(ev["dur"] > 0 for ev in holds)
+        slots = [ev for ev in events if ev.get("cat") == "slots"]
+        # one occupancy sample per ring per slot 0..300
+        assert len(slots) == 3 * 301
+        if mode == "sharded":
+            serial = run_fabric(Topology(**self.TIMELINE_TOPO), "serial",
+                                timeline=True)
+            assert merged_timeline(serial) == events
+
+    def test_timeline_needs_tracing(self):
+        with pytest.raises(ValueError, match="timeline needs tracing"):
+            FabricRunner(small_topology(), trace=False, timeline=True)
 
     def test_merged_metrics_aggregate(self):
         result = run_fabric(small_topology(), "serial", observe=True)

@@ -328,6 +328,30 @@ class TestInPlaceRearm:
             eng.reschedule_at(h, 3.0)
         assert h.time == 10.0 and eng.peek() == 10.0
 
+    @pytest.mark.parametrize("quantum", [None, 1.0, 0.25])
+    def test_lands_where_schedule_at_lands(self, quantum):
+        """``reschedule_at`` checks and snaps its time inline; it must
+        accept, snap and reject exactly as ``schedule_at`` does."""
+        nan = float("nan")
+        for when in (7.0, 7.0 + 1e-10, 7.0 - 5e-10, 7.0 + 2e-9, 7.3,
+                     7.125 + 1e-11, 4.0, 4.0 - 1e-10, 4.0 - 1e-6, 3.5,
+                     1e6 + 3e-10, nan):
+            eng, ref = Engine(), Engine()
+            for e in (eng, ref):
+                e.slot_quantum = quantum
+                e.run(until=4.0)
+            h = eng.schedule(50.0, lambda: None)
+            try:
+                expected = ref.schedule_at(when, lambda: None).time
+            except SchedulingError:
+                with pytest.raises(SchedulingError):
+                    eng.reschedule_at(h, when)
+                assert h.time == 54.0
+                continue
+            eng.reschedule_at(h, when)
+            assert h.time == expected, (quantum, when)
+            assert eng.peek() == expected
+
     def test_cancel_after_move_is_counted_once(self):
         eng = Engine()
         h = eng.schedule(10.0, lambda: None)
