@@ -267,8 +267,9 @@ class CSMANetwork:
         self._last_transmitters = [st.sid for st in contenders]
         if not contenders:
             self.idle_slots += 1
-            self._tick_handle = self.engine.schedule(1.0, self._tick,
-                                                     priority=5)
+            if self._tick_handle is not None:   # stop() leaves it None
+                self._tick_handle = self.engine.schedule(1.0, self._tick,
+                                                         priority=5)
             return
 
         self.busy_slots += 1
@@ -299,7 +300,9 @@ class CSMANetwork:
         if slot_had_collision:
             self.collision_slots += 1
             self._ev_collision(t, sorted(transmitters))
-        self._tick_handle = self.engine.schedule(1.0, self._tick, priority=5)
+        if self._tick_handle is not None:
+            self._tick_handle = self.engine.schedule(1.0, self._tick,
+                                                     priority=5)
 
     def _deliver(self, station: CSMAStation, t: float) -> None:
         pkt = station.on_success()

@@ -439,7 +439,9 @@ class TPTNetwork:
         else:
             self._step_probe(t)
             self._token_step(t)
-        self._tick_handle = self.engine.schedule(1.0, self._tick, priority=5)
+        if self._tick_handle is not None:   # stop() leaves it None
+            self._tick_handle = self.engine.schedule(1.0, self._tick,
+                                                     priority=5)
 
     def _token_step(self, t: float) -> None:
         if self._token_lost:

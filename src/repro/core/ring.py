@@ -32,8 +32,10 @@ The network publishes every protocol fact exactly once as a typed event on
 fuzz oracles and the delay/deadline accounting in
 :class:`repro.analysis.netmetrics.NetworkMetrics` are all subscribers.
 Emit sites hold per-event emitter callables (rebound by the bus whenever
-subscriptions change), so an unobserved event costs one no-op call and an
-unobserved *computation* is skipped via the emitter's falsiness.
+subscriptions change).  An unobserved emitter is falsy: the per-slot and
+per-hop sites test it first, so an unobserved event there runs no call,
+and an unobserved *computation* is skipped the same way; elsewhere an
+unobserved event costs one no-op call.
 
 The dataplane's cost follows the awake stations, those that may hold a
 packet: the decision layer visits only them, settles one without own
@@ -477,11 +479,14 @@ class WRTRingNetwork:
     # the tick
     # ------------------------------------------------------------------
     def _tick(self) -> None:
+        """Run the slot, then re-arm the tick's own handle for the next one
+        — unless the slot took the network down or :meth:`stop` ran."""
         t = self.engine.now
-        if self._tick_body(t):
+        if self._tick_body(t) and self._tick_handle is not None:
             nxt = t + 1.0 if self.tick_driver is None else self.tick_driver(t)
-            self._tick_handle = self.engine.schedule_at(nxt, self._tick,
-                                                        priority=5)
+            # a saturated window runs SAT subscribers, which may stop too
+            if self._tick_handle is not None:
+                self.engine.rearm_at(self._tick_handle, nxt)
 
     def _tick_body(self, t: float) -> bool:
         """One slot's worth of protocol work at time ``t``.
@@ -491,10 +496,12 @@ class WRTRingNetwork:
         """
         for hook in self._tick_hooks:
             hook(t)
-        self._ev_tick(t)
+        if self._ev_tick:
+            self._ev_tick(t)
 
         if self.network_down:
-            self._flush_channel(t)
+            if self.channel is not None:
+                self._flush_channel(t)
             return False  # no further ticks
 
         if self.rebuilding_until is not None:
@@ -523,12 +530,11 @@ class WRTRingNetwork:
                     # RAP closes at the end of this tick
                     self.join_manager.on_rap_end(t)
 
-        self._flush_channel(t)
+        if self.channel is not None:
+            self._flush_channel(t)
         return True
 
     def _flush_channel(self, t: float) -> None:
-        if self.channel is None:
-            return
         deliveries = self.channel.resolve_slot(t)
         for receiver, frames in deliveries.items():
             handler = self._frame_handlers.get(receiver)
@@ -710,17 +716,26 @@ class WRTRingNetwork:
         the holder is satisfied.  The rare branches (stale signal,
         SAT_REC, graceful cut-out, signal loss) call the recovery helpers.
         Every emit may run a subscriber that changes the ring, so each
-        step re-reads what it depends on after the emits before it."""
+        step re-reads what it depends on after the emits before it.
+
+        A normal hop calls no helper: the bodies of ``SAT.arrive`` and
+        ``SAT.depart``, :meth:`_sat_seq_fresh`, :meth:`next_sat_seq`,
+        ``WRTRingStation.on_sat_arrival`` and ``on_sat_release`` and
+        ``RotationLog.add`` are written out below, guards included, in
+        the order those calls made."""
         if self._sat_lost:
             return
         sat = self.sat
 
         holder = sat.in_flight_to
         if holder is not None:
-            # arrival
+            # arrival: the signal is in flight, as ``SAT.arrive`` requires
             if sat.arrival_time > t:
                 return
-            sat.arrive()
+            sat.at_station = holder
+            sat.in_flight_to = None
+            sat.arrival_time = None
+            sat.hops += 1
             pos = self._pos.get(holder)
             if pos is None or not self._members[pos].alive:
                 # transmitted into a void: signal lost with the station
@@ -732,9 +747,12 @@ class WRTRingNetwork:
             # forged duplicate bumped its sequence horizon past the real
             # one); from the ring's perspective the control signal is gone
             # and the Sec. 2.5 watchdogs take over
-            if not self._sat_seq_fresh(holder, sat.seq, t):
+            seq = sat.seq
+            if seq <= station.last_sat_seq:
+                self._ev_sat_stale(t, holder, seq)
                 self.drop_sat()
                 return
+            station.last_sat_seq = seq
 
             # SAT_REC (Sec. 2.5): recovery forwards it, or completes the
             # cut-out here and turns it back into a normal SAT held here
@@ -753,17 +771,32 @@ class WRTRingNetwork:
                 return
 
             # visit bookkeeping (``satisfied`` is read off the station's
-            # attributes each time: the emit before may have changed them)
-            self._ev_sat_arrive(t, holder, sat.kind)
-            if not (station.leaving or station.rt_pck >= station.quota.l
-                    or not station.rt_queue):
+            # attributes after each emit: the emit may have changed them)
+            if self._ev_sat_arrive:
+                self._ev_sat_arrive(t, holder, sat.kind)
+            held = not (station.leaving or station.rt_pck >= station.quota.l
+                        or not station.rt_queue)
+            if held:
                 self._ev_sat_hold(t, holder)
-            rotation = station.on_sat_arrival(t)
-            if rotation is not None:
-                self.rotation_log.add(holder, rotation)
+                held = not (station.leaving
+                            or station.rt_pck >= station.quota.l
+                            or not station.rt_queue)
+            last = station.last_sat_arrival
+            station.last_sat_arrival = t
+            station.sat_visits += 1
+            if held:
+                station.sat_holds += 1
+            if last is not None:
+                rotation = t - last
+                if rotation <= 0:
+                    raise ValueError(
+                        f"rotation time must be positive, got {rotation!r}")
+                self.rotation_log.by_station.setdefault(
+                    holder, []).append(rotation)
                 if self.recovery.adaptive:
                     self.recovery.observe_rotation(holder, rotation)
-                self._ev_sat_rotation(t, holder, rotation)
+                if self._ev_sat_rotation:
+                    self._ev_sat_rotation(t, holder, rotation)
             if holder == self.order[0]:
                 sat.rounds += 1
                 self.rotation_log.mark_round(sat.hops)
@@ -790,7 +823,11 @@ class WRTRingNetwork:
             return   # not satisfied: the station holds the SAT
 
         # release: clear the round counters and kick the watchdog
-        station.on_sat_release(t)
+        station.last_sat_departure = t
+        station.rt_pck = 0
+        station.nrt_pck = 0
+        station.as_pck = 0
+        station.be_pck = 0
         rec = self.recovery
         bound = self._sat_bound_cache
         if bound is None or rec.adaptive:
@@ -813,7 +850,14 @@ class WRTRingNetwork:
                 self._ev_sat_hop_lost(t, holder, nxt, sat.kind, reason)
                 self.drop_sat()
                 return
-        # hand-off: stamp the rotation seq and depart towards the successor
-        sat.seq = self.next_sat_seq()
-        sat.depart(nxt, t + self.config.sat_hop_slots)
-        self._ev_sat_release(t, holder, nxt)
+        # hand-off: stamp the rotation seq and depart towards the
+        # successor, unless the signal is somehow in flight already
+        self._sat_seq += 1
+        sat.seq = self._sat_seq
+        if sat.in_flight_to is not None:
+            raise RuntimeError("SAT is already in flight")
+        sat.at_station = None
+        sat.in_flight_to = nxt
+        sat.arrival_time = t + self.config.sat_hop_slots
+        if self._ev_sat_release:
+            self._ev_sat_release(t, holder, nxt)

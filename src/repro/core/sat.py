@@ -88,14 +88,16 @@ class RotationLog:
     """Per-station SAT rotation-time samples (arrival-to-arrival)."""
 
     def __init__(self) -> None:
-        self._samples: Dict[int, List[float]] = {}
+        #: station -> its rotation samples, in arrival order; the ring's
+        #: SAT step appends to it directly (see ``add``)
+        self.by_station: Dict[int, List[float]] = {}
         self._hops_per_round: List[int] = []
         self._last_hops_mark: int = 0
 
     def add(self, station: int, rotation: float) -> None:
         if rotation <= 0:
             raise ValueError(f"rotation time must be positive, got {rotation!r}")
-        self._samples.setdefault(station, []).append(rotation)
+        self.by_station.setdefault(station, []).append(rotation)
 
     def mark_round(self, total_hops: int) -> None:
         """Record the link crossings of one completed round (E04)."""
@@ -103,16 +105,16 @@ class RotationLog:
         self._last_hops_mark = total_hops
 
     def samples(self, station: int) -> List[float]:
-        return list(self._samples.get(station, []))
+        return list(self.by_station.get(station, []))
 
     def all_samples(self) -> List[float]:
         out: List[float] = []
-        for values in self._samples.values():
+        for values in self.by_station.values():
             out.extend(values)
         return out
 
     def stations(self) -> List[int]:
-        return sorted(self._samples)
+        return sorted(self.by_station)
 
     def hops_per_round(self) -> List[int]:
         return list(self._hops_per_round)

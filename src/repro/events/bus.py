@@ -11,10 +11,13 @@ per event type and stores it as an attribute::
 
 The emitter callable is specialised to the current subscriber count:
 
-* **0 subscribers** → the shared :data:`NULL_EMITTER`, a falsy no-op.
-  Disabled cost is one attribute load + no-op call (~0.1 µs); sites that
-  would do work just to build the event arguments guard with the falsy
-  check (``if self._ev_occupancy: ...``) instead, which is cheaper still.
+* **0 subscribers** → the shared :data:`NULL_EMITTER`, a falsy no-op: an
+  empty tuple, so its truth test runs no Python code.  The ring's hot
+  sites guard with that test — the per-slot ``RingTick`` and
+  ``SlotOccupancy`` emits and the per-hop ``SatArrive``, ``SatRotation``
+  and ``SatRelease`` emits (``if self._ev_tick: self._ev_tick(t)``) — so
+  an unsubscribed emit there runs no frame.  Any other site calls it
+  unguarded: one attribute load and an empty ``__call__`` (~0.1 µs).
 * **1 subscriber** (the common case: the trace adapter, or metrics) → a
   closure that constructs the typed event and calls the one callback.
 * **N subscribers** → a closure fanning out over a tuple of callbacks.
@@ -36,16 +39,16 @@ from repro.events.types import ProtocolEvent
 __all__ = ["EventBus", "NULL_EMITTER"]
 
 
-class _NullEmitter:
-    """Shared falsy no-op emitter handed out for unsubscribed event types."""
+class _NullEmitter(tuple):
+    """Shared falsy no-op emitter handed out for unsubscribed event types.
+
+    An empty tuple, so a truth test is the tuple's own length check and
+    runs no Python code; calling it still runs the no-op ``__call__``."""
 
     __slots__ = ()
 
     def __call__(self, *args: Any) -> None:
         return None
-
-    def __bool__(self) -> bool:
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<NULL_EMITTER>"

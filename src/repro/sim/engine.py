@@ -20,6 +20,8 @@ is never later than its handle's live key, so when the head entry is fresh it
 is the live event with the least live key — the order cancel-and-push would
 give.  The head helper drops dead entries and re-files stale ones under their
 live key as they surface; neither is an event and neither moves the clock.
+:meth:`Engine.run` tests the head for freshness inline and calls the helper
+only for a dead or stale one.
 
 Cancellation is O(1) (entries are tombstoned), but tombstones do not linger:
 the engine counts dead entries and lazily compacts the heap when they
@@ -27,11 +29,11 @@ outnumber the live ones, so :meth:`Engine.pending_count` is O(1) and
 :meth:`Engine.peek` reflects live events only — the batched kernel bounds its
 saturated windows by it (see :mod:`repro.kernel`).
 
-NaN is not an event time: :meth:`Engine.schedule_at` and
-:meth:`Engine.reschedule_at` raise :class:`SchedulingError` for it and leave
-the agenda as it was, :meth:`Engine.advance_to` raises it and leaves the
-clock as it was, and :meth:`Engine.run` rejects a NaN ``until`` before it
-touches any state.
+NaN is not an event time: :meth:`Engine.schedule_at`,
+:meth:`Engine.reschedule_at` and :meth:`Engine.rearm_at` raise
+:class:`SchedulingError` for it and leave the agenda as it was,
+:meth:`Engine.advance_to` raises it and leaves the clock as it was, and
+:meth:`Engine.run` rejects a NaN ``until`` before it touches any state.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ class EventHandle:
     :meth:`cancel` prevents the callback from running; cancellation is O(1)
     (the heap entry is tombstoned, not removed) and idempotent.
     ``(time, priority, seq)`` is the live key; :meth:`Engine.reschedule_at`
-    moves it.
+    moves it, and :meth:`Engine.rearm_at` sets it anew once the event has
+    run.
     """
 
     __slots__ = ("time", "priority", "seq", "_filed", "callback", "args",
@@ -230,6 +233,42 @@ class Engine:
                            (time, handle.priority, handle.seq, handle))
             self._note_cancelled()
 
+    def rearm_at(self, handle: EventHandle, time: float) -> None:
+        """Schedule the callback of a ``handle`` whose event has run again,
+        at absolute simulated ``time``, on the same handle.
+
+        Same outcome as ``schedule_at(time, handle.callback, *handle.args,
+        priority=handle.priority)``: the same checks and snapping, and a
+        fresh ``seq`` taken at the moment of the call, so ties fire in the
+        order a new schedule would give.  A callback that schedules itself
+        again from inside its own call (the ring's tick, once per slot)
+        builds no new handle.  A pending handle moves with
+        :meth:`reschedule_at` instead; a cancelled one has nothing left to
+        run.
+        """
+        # ``cancel()`` drops the callback; a handle consumed by its firing
+        # keeps it
+        if (not handle.cancelled or handle.callback is _noop
+                or handle.engine is not self):
+            raise SchedulingError(f"{handle!r} has not run on this engine")
+        # :meth:`_event_time` inlined, as in :meth:`reschedule_at`
+        if time != time:
+            raise SchedulingError("cannot schedule at NaN")
+        quantum = self.slot_quantum
+        if quantum is not None:
+            snapped = round(time / quantum) * quantum
+            if abs(time - snapped) <= _SNAP_EPS:
+                time = snapped
+        if time < self.now:
+            raise SchedulingError(
+                f"cannot schedule at {time!r}; current time is {self.now!r}")
+        self._seq += 1
+        seq = self._seq
+        handle.time = time
+        handle.seq = handle._filed = seq
+        handle.cancelled = False
+        heapq.heappush(self._agenda, (time, handle.priority, seq, handle))
+
     def _event_time(self, time: float) -> float:
         """``time`` snapped to the slot grid, or :class:`SchedulingError`
         when it is NaN or in the past."""
@@ -353,15 +392,21 @@ class Engine:
             sim_start = self.now
         try:
             while not self._stopped:
-                entry = head()
-                if entry is None:
+                if not agenda:
                     break
+                entry = agenda[0]
+                handle = entry[3]
+                if handle.cancelled or entry[2] != handle.seq:
+                    # a dead or stale head: the helper drops or re-files it
+                    entry = head()
+                    if entry is None:
+                        break
+                    handle = entry[3]
                 if until is not None and entry[0] > until:
                     break
                 if max_events is not None and executed >= max_events:
                     break
                 heapq.heappop(agenda)
-                handle = entry[3]
                 self.now = entry[0]
                 self.events_executed += 1
                 executed += 1

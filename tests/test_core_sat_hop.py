@@ -3,9 +3,9 @@
 One SAT hop (arrival, visit bookkeeping, release) emits up to four events:
 ``SatArrive``, ``SatHold``, ``SatRotation`` and ``SatRelease``.  A
 subscriber may change the ring from inside any of them — enqueue at the
-holder, kill it, announce its successor's leave, or drop the signal — and
-what the rest of the hop does next depends on which state it re-reads and
-when.  Each case below acts once, at the k-th event of one type, on a
+holder, kill it, announce its own or its successor's leave, or drop the
+signal — and what the rest of the hop does next depends on which state it
+re-reads and when.  Each case below acts once, at the k-th event of one type, on a
 6-station traced Poisson ring, and compares the run's outcome (summary,
 trace hash, per-station SAT state) with a digest pinned from the reference
 implementation.  Any reordering of the hop's emits, state writes or
@@ -42,12 +42,19 @@ def _successor_leaves(net, holder, t):
     net.leave_gracefully(net.successor(holder))
 
 
+def _holder_leaves(net, holder, t):
+    # a leaving station is satisfied: whatever the hop reads after this
+    # emit must see the holder satisfied
+    net.leave_gracefully(holder)
+
+
 def _drop_sat(net, holder, t):
     net.drop_sat()
 
 
 ACTIONS = {"enqueue": _enqueue_premium, "kill": _kill_holder,
-           "leave": _successor_leaves, "drop": _drop_sat}
+           "leave": _successor_leaves, "holder_leave": _holder_leaves,
+           "drop": _drop_sat}
 
 #: the hop's events, logged in emit order into the digest
 LOGGED = (ev.SatArrive, ev.SatHold, ev.SatRotation, ev.SatRelease,
@@ -65,6 +72,8 @@ PINNED = {
         "baa901723382eef759588dc6256d00486b595404ce87f193e5faf8a254227a57",
     ("arrive", "drop"):
         "dd7bd8a12b248eff68b2d1c1cd2d01d9af70f18693cf24b422839566ef7d5a72",
+    ("arrive", "holder_leave"):
+        "63d0ba004908e2e1ad390917bb20fdda3da3242d4f29ca70b1b1e7b554d79206",
     ("hold", "enqueue"):
         "c139ad5c47693d6425c176a80c6edbd70bce2164d21620758342e3d8dd323460",
     ("hold", "kill"):
@@ -73,6 +82,8 @@ PINNED = {
         "d944999df13ece01847021cc4b0f7d8e1542ae58e6885ca50c61479eccf11e4b",
     ("hold", "drop"):
         "0106972a519650665cae328d6bc58de99e86badfc530b56829c404c999adac5c",
+    ("hold", "holder_leave"):
+        "e5bb253e8ff8a46f2f114ab08f724dd31be0c864236f34fd565cf326ee40007c",
     ("rotation", "enqueue"):
         "839a3d1fe87fa822ce44177269596af26ba413e40a081848c99faf4c1421f11b",
     ("rotation", "kill"):
@@ -81,6 +92,8 @@ PINNED = {
         "11cccf77fb98bc2b7c149a81ae7cc19bf2420ad7d1fcc1f0daff42f0799eceaa",
     ("rotation", "drop"):
         "1d9a40c24a299f50fc852b20d26e0fdb62ebf75ec61a4ac5725e2c18774235b5",
+    ("rotation", "holder_leave"):
+        "1b3dc0987bc4d805222b3c38fdd5c7589855c6d2232cea3ae404e856d4d892d2",
     ("release", "enqueue"):
         "13da1dd8d786354fee6e268c82df8223ad3be6a16c9dd4d0bedef879050d18a1",
     ("release", "kill"):
@@ -89,6 +102,8 @@ PINNED = {
         "678388b7b29c27179f6cdbee530a2d575eeeda6392658c978b0a942d085570aa",
     ("release", "drop"):
         "f4b40ce0b56bcf5ecb3ecb1c5292bf6bf424641864bdf5d316e61c939ea4ef63",
+    ("release", "holder_leave"):
+        "5e0bd4e8b1e041189ce0a50b6ca4868054c5685be44e77f348c05dd773962733",
 }
 
 

@@ -1,10 +1,13 @@
-"""In-place watchdog re-arm (``Engine.reschedule_at`` / ``Timer.restart``).
+"""In-place re-arms: the watchdog's (``Engine.reschedule_at`` /
+``Timer.restart``) and the tick's (``Engine.rearm_at``).
 
 A re-arm must be indistinguishable from cancel-and-push: the differential
 test below drives the engine and a small eager model of that agenda —
 ``(time, priority, seq)`` entries plus tombstones, every re-arm a tombstone
 and a fresh push — with one seeded operation stream and compares everything
-observable after every operation.
+observable after every operation.  The stream includes a tick-style
+callback: priority 5, re-armed from inside its own call the way the ring
+re-arms its tick, and stopped from inside that call or from outside it.
 """
 
 import heapq
@@ -125,6 +128,7 @@ class Side:
         self.log = []
         self.pending = {}         # label -> handle, in scheduling order
         self.labels = 0
+        self.ticker = None        # the tick's handle (entry on the model)
 
     def _on_timer(self, k):
         return lambda: self._fired(f"T{k}")
@@ -135,10 +139,43 @@ class Side:
         if self.rng.random() < 0.6:
             self.apply(draw_op(self.rng, self, in_callback=True))
 
+    def _tick(self):
+        """The ring's tick in miniature: its body may stop the ticker or
+        schedule more, then it re-arms itself while the ticker is set."""
+        self.log.append(("tick", self.agenda.now))
+        rng = self.rng
+        if rng.random() < 0.2:
+            self.stop_ticker()           # from inside its own call
+        elif rng.random() < 0.5:
+            self.apply(draw_op(rng, self, in_callback=True))
+        if self.ticker is not None:
+            delay = float(rng.choice((0, 1, 1, 2, 3)))
+            if self.real:
+                self.agenda.rearm_at(self.ticker, self.agenda.now + delay)
+            else:
+                self.ticker = self.agenda.schedule(delay, self._tick,
+                                                   priority=5)
+
+    def stop_ticker(self):
+        if self.ticker is not None:
+            if self.real:
+                self.ticker.cancel()
+            else:
+                self.agenda.cancel(self.ticker)
+            self.ticker = None
+
+    def ticker_deadline(self):
+        if self.ticker is None:
+            return None
+        if self.real:
+            return self.ticker.time
+        return self.agenda.time_of(self.ticker)
+
     def observe(self):
         a = self.agenda
         return (list(self.log), a.now, a.events_executed, a.peek(),
-                a.pending_count(), [t.deadline for t in self.timers])
+                a.pending_count(), [t.deadline for t in self.timers],
+                self.ticker_deadline())
 
     def apply(self, op):
         a = self.agenda
@@ -160,6 +197,10 @@ class Side:
             self.timers[op[1]].restart(op[2])
         elif kind == "stop":
             self.timers[op[1]].stop()
+        elif kind == "tick_start":
+            self.ticker = a.schedule(op[1], self._tick, priority=5)
+        elif kind == "tick_stop":
+            self.stop_ticker()
         elif kind == "step":
             a.step()
         elif kind == "peek":
@@ -175,14 +216,20 @@ class Side:
 def draw_op(rng, side, in_callback):
     """A concrete operation drawn from ``rng`` against ``side``'s state.
     Times are small integers, so equal deadlines and same-time ties (broken
-    by priority, then seq) are common."""
-    kinds = ["schedule", "cancel", "restart", "restart", "restart", "stop"]
+    by priority, then seq; priority 5 ties with the ticker) are common."""
+    kinds = ["schedule", "cancel", "restart", "restart", "restart", "stop",
+             "tick_stop"]
     if not in_callback:
-        kinds += ["step", "peek", "run_until", "run_max"]
+        kinds += ["step", "peek", "run_until", "run_max", "tick_start"]
     kind = rng.choice(kinds)
     now = side.agenda.now
     if kind == "schedule":
-        return ("schedule", float(rng.randint(0, 12)), rng.choice((-1, 0, 1)))
+        return ("schedule", float(rng.randint(0, 12)),
+                rng.choice((-1, 0, 1, 5)))
+    if kind == "tick_start":
+        if side.ticker is not None:
+            return ("tick_stop",)
+        return ("tick_start", float(rng.randint(0, 3)))
     if kind == "cancel":
         if not side.pending:
             return ("peek",) if not in_callback else ("stop", 0)
@@ -226,17 +273,25 @@ class TestDifferentialAgainstEagerAgenda:
             ref.apply(op)
             assert real.observe() == ref.observe(), op
             assert live_entries(real.agenda) == real.agenda.pending_count()
-        real.agenda.run()
-        ref.agenda.run()
+        for side in (real, ref):
+            side.apply(("tick_stop",))
+            side.agenda.run()
         assert real.observe() == ref.observe()
         assert real.agenda.pending_count() == 0
 
     def test_stream_exercises_every_rearm_path(self):
         # the seeded streams above must reach all three re-arm shapes,
-        # re-arms from inside callbacks, and stale-entry re-files
+        # re-arms from inside callbacks, stale-entry re-files (those met by
+        # ``run`` too, which checks a fresh head inline and hands only a
+        # dead or stale one to ``_head``), and the tick's re-arm, stopped
+        # from inside its own call and from outside it
         counts = dict.fromkeys(("later", "equal", "earlier", "in_callback",
-                                "refiled"), 0)
-        move, head = Engine.reschedule_at, Engine._head
+                                "refiled", "refiled_in_run", "tick_rearm",
+                                "tick_stopped_inside",
+                                "tick_stopped_outside"), 0)
+        move, head, rearm = (Engine.reschedule_at, Engine._head,
+                             Engine.rearm_at)
+        stop_ticker = Side.stop_ticker
 
         def counting_move(eng, handle, time):
             key = ("later" if time > handle.time else
@@ -248,16 +303,32 @@ class TestDifferentialAgainstEagerAgenda:
         def counting_head(eng):
             if eng._agenda:
                 seq, handle = eng._agenda[0][2:]
-                counts["refiled"] += (not handle.cancelled
-                                      and seq == handle._filed != handle.seq)
+                refiled = (not handle.cancelled
+                           and seq == handle._filed != handle.seq)
+                counts["refiled"] += refiled
+                counts["refiled_in_run"] += refiled and eng._running
             return head(eng)
 
+        def counting_rearm(eng, handle, time):
+            counts["tick_rearm"] += 1
+            rearm(eng, handle, time)
+
+        def counting_stop(side):
+            if side.real and side.ticker is not None:
+                # a consumed handle is the tick stopping itself mid-call
+                key = ("tick_stopped_inside" if side.ticker.cancelled
+                       else "tick_stopped_outside")
+                counts[key] += 1
+            stop_ticker(side)
+
         Engine.reschedule_at, Engine._head = counting_move, counting_head
+        Engine.rearm_at, Side.stop_ticker = counting_rearm, counting_stop
         try:
             for seed in range(4):
                 self.test_seeded_op_stream_matches_cancel_and_push(seed)
         finally:
             Engine.reschedule_at, Engine._head = move, head
+            Engine.rearm_at, Side.stop_ticker = rearm, stop_ticker
         assert min(counts.values()) > 0, counts
 
 
@@ -361,6 +432,76 @@ class TestInPlaceRearm:
         assert eng.pending_count() == 0
         assert eng.peek() is None
         assert not eng._agenda
+
+    @pytest.mark.parametrize("quantum", [None, 1.0, 0.25])
+    def test_tick_rearm_lands_where_schedule_at_lands(self, quantum):
+        """``rearm_at`` — the tick re-arming its own handle from inside its
+        call — checks and snaps its time inline; it must accept, snap and
+        reject exactly as ``schedule_at`` does."""
+        nan = float("nan")
+        for when in (7.0, 7.0 + 1e-10, 7.0 - 5e-10, 7.0 + 2e-9, 7.3,
+                     7.125 + 1e-11, 4.0, 4.0 - 1e-10, 4.0 - 1e-6, 3.5,
+                     1e6 + 3e-10, nan):
+            eng, ref = Engine(), Engine()
+            outcome = []
+
+            def tick():
+                try:
+                    eng.rearm_at(handle, when)
+                    outcome.append(handle.time)
+                except SchedulingError:
+                    outcome.append(None)
+
+            for e in (eng, ref):
+                e.slot_quantum = quantum
+            handle = eng.schedule_at(4.0, tick, priority=5)
+            eng.step()
+            ref.run(until=4.0)
+            try:
+                expected = ref.schedule_at(when, lambda: None,
+                                           priority=5).time
+            except SchedulingError:
+                assert outcome == [None], (quantum, when)
+                assert handle.cancelled and eng.pending_count() == 0
+                assert eng.peek() is None
+                continue
+            assert outcome == [expected], (quantum, when)
+            assert not handle.cancelled and eng.peek() == expected
+            assert len(eng._agenda) == eng.pending_count() == 1
+
+    def test_tick_rearm_takes_its_seq_at_the_call(self):
+        # same-time, same-priority peers scheduled before the re-arm fire
+        # first and those scheduled after it fire later, as with a new
+        # ``schedule_at`` at the same moment
+        eng = Engine()
+        fired = []
+
+        def tick():
+            fired.append(("tick", eng.now))
+            if eng.now < 2.0:
+                eng.schedule_at(eng.now + 1.0, fired.append, "before",
+                                priority=5)
+                eng.rearm_at(handle, eng.now + 1.0)
+                eng.schedule_at(eng.now + 1.0, fired.append, "after",
+                                priority=5)
+
+        handle = eng.schedule_at(0.0, tick, priority=5)
+        eng.run()
+        assert fired == [("tick", 0.0), "before", ("tick", 1.0), "after",
+                         "before", ("tick", 2.0), "after"]
+        assert eng.events_executed == 7 and eng.pending_count() == 0
+
+    def test_tick_rearm_rejects_handles_that_have_not_run(self):
+        eng = Engine()
+        pending = eng.schedule(1.0, lambda: None)
+        cancelled = eng.schedule(1.0, lambda: None)
+        cancelled.cancel()
+        foreign = Engine().schedule(0.0, lambda: None)
+        foreign.engine.run()
+        for h in (pending, cancelled, foreign):
+            with pytest.raises(SchedulingError):
+                eng.rearm_at(h, 5.0)
+        assert pending.time == 1.0 and eng.pending_count() == 1
 
 
 class TestIdleRingAgenda:

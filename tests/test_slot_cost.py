@@ -1,0 +1,87 @@
+"""Python calls per slot on the ring's fixed path, counted.
+
+A ring-slot that moves no packet is the tick, the SAT hop and its watchdog
+kick; on a light-load ring that is most slots.  These tests count the
+Python-level calls into ``repro`` such slots make (``sys.setprofile``), so
+a frame added to the per-slot path fails here whatever the host's speed.
+
+Comprehension frames are not counted: Python 3.12 inlines them, so
+counting them would tie the bounds to the interpreter.
+"""
+
+import os
+import sys
+from collections import Counter
+
+import repro
+from repro.core import WRTRingConfig, WRTRingNetwork
+from repro.sim import Engine
+from repro.sim.trace import TraceRecorder
+
+PACKAGE = os.path.dirname(repro.__file__) + os.sep
+INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"})
+
+N, WARMUP, SLOTS = 48, 200, 2000
+
+
+def calls_into_repro(fn) -> Counter:
+    """Python-level calls into ``repro`` while ``fn()`` runs, by name."""
+    calls: Counter = Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            code = frame.f_code
+            if (code.co_filename.startswith(PACKAGE)
+                    and code.co_name not in INLINED):
+                calls[getattr(code, "co_qualname", code.co_name)] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def idle_ring_calls_per_slot(trace):
+    engine = Engine()
+    cfg = WRTRingConfig.homogeneous(range(N), l=2, k=1, rap_enabled=False)
+    net = WRTRingNetwork(engine, list(range(N)), cfg, trace=trace)
+    net.start()
+    engine.run(until=float(WARMUP))   # past the first rotation
+    hops = net.sat.hops
+    calls = calls_into_repro(
+        lambda: engine.run(until=float(WARMUP + SLOTS)))
+    assert net.sat.hops - hops == SLOTS   # one SAT hop in every slot
+    return sum(calls.values()) / SLOTS, calls.most_common(12)
+
+
+def test_idle_ring_without_trace():
+    # the tick, its body, the SAT hop, the watchdog kick (three calls)
+    # and the tick's re-arm: 7, plus the watchdogs' stale-head re-files
+    per_slot, top = idle_ring_calls_per_slot(trace=None)
+    assert per_slot <= 8, top
+
+
+def test_idle_ring_with_default_trace():
+    # the trace-off path plus two recorded events (SAT rotation and
+    # release), four calls each
+    per_slot, top = idle_ring_calls_per_slot(trace=TraceRecorder())
+    assert per_slot <= 16, top
+
+
+def test_bare_engine_chain():
+    # ``kernel_step_rate``'s chain: each event schedules the next one
+    engine = Engine()
+    count = 20_000
+
+    def chain(i):
+        if i < count:
+            engine.schedule(1.0, chain, i + 1)
+
+    engine.schedule(0.0, chain, 0)
+    calls = calls_into_repro(engine.run)
+    assert engine.events_executed == count + 1
+    per_event = sum(calls.values()) / engine.events_executed
+    assert per_event <= 4, calls.most_common()
