@@ -487,6 +487,11 @@ class WRTRingNetwork:
             # a saturated window runs SAT subscribers, which may stop too
             if self._tick_handle is not None:
                 self.engine.rearm_at(self._tick_handle, nxt)
+                return
+        if self._tick_handle is None:
+            # stop() ran inside the slot, and the SAT step after it may
+            # have kicked a watchdog: a stopped ring keeps none armed
+            self.recovery.disarm_all()
 
     def _tick_body(self, t: float) -> bool:
         """One slot's worth of protocol work at time ``t``.

@@ -16,7 +16,7 @@ Implements the Sec. 2.2 *send algorithm* and the station-side half of the
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.core.packet import Packet, ServiceClass
 from repro.core.quotas import QuotaConfig
@@ -98,6 +98,27 @@ class WRTRingStation:
             self._nonsucc += 1
         self.enqueued[packet.service] += 1
         self._ev_enqueued(now, self.sid, packet)
+
+    def enqueue_burst(self, packets: List[Packet], now: float) -> None:
+        """Accept a burst of one flow's packets — one source, destination
+        and class — with :meth:`enqueue`'s effects in one step: one check,
+        one queue extend, one wake.  Emits no
+        :class:`~repro.events.types.PacketEnqueued`, so a caller takes
+        this step only while nothing subscribes to it; a subscriber gets
+        each packet through :meth:`enqueue`."""
+        first = packets[0]
+        if not self.alive:
+            raise RuntimeError(f"station {self.sid} is not alive")
+        if first.src != self.sid:
+            raise ValueError(
+                f"packet src {first.src} enqueued at station {self.sid}")
+        for packet in packets:
+            packet.t_enqueue = now
+        self._queue_for(first.service).extend(packets)
+        self._wake()
+        if first.dst != self._succ_sid:
+            self._nonsucc += len(packets)
+        self.enqueued[first.service] += len(packets)
 
     def _queue_for(self, service: ServiceClass) -> Deque[Packet]:
         if service is ServiceClass.PREMIUM:

@@ -103,10 +103,11 @@ class EventBus:
         """The current subscriber tuple for *etype*, in subscription order.
 
         Identity-comparable: the batched kernel's saturated path engages
-        only while the packet-lifecycle subscriber sets are *exactly* the
-        consumers whose effects it replicates inline (metrics + its own
-        buffered counter), which it checks against this tuple from a
-        binder."""
+        only while the dataplane subscriber sets are *exactly* the
+        consumers whose effects it replicates inline (network metrics),
+        and runs its windows in bulk mode only while every SAT-event
+        subscriber is marked ``record_only``; it checks both against
+        these tuples from a binder."""
         return tuple(self._subs.get(etype, ()))
 
     # -- emitter side --------------------------------------------------

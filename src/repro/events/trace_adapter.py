@@ -28,6 +28,10 @@ recorder to drop the record would tax trace-off runs, and a category
 nothing else subscribes to leaves its emitter the falsy null.  The adapter
 watches the recorder's switches (:meth:`TraceRecorder.watch`), so the
 subscriptions follow every ``enable``/``disable``/``enable_only`` at once.
+
+The 1:1 renderings carry ``record_only = True``: they only append the
+event's record, so the batched kernel's saturated windows emit the SAT
+events they cover without replaying each hop (docs/KERNEL.md).
 """
 
 from __future__ import annotations
@@ -109,6 +113,11 @@ class TraceAdapter:
         def handler(ev, _record=trace.record_fields, _category=etype.category):
             _record(ev.t, _category, ev.trace_fields())
 
+        # it reads the event and writes the recorder, nothing else: the
+        # batched kernel may emit the SAT events a saturated window holds
+        # without replaying the ring's SAT step for it (a function
+        # attribute, so ``functools.update_wrapper`` copies it along)
+        handler.record_only = True
         return handler
 
     # -- selective renderings ------------------------------------------

@@ -36,12 +36,16 @@ from repro.scenarios import ScenarioResult, build_scenario
 __all__ = ["FuzzResult", "run_case", "hash_trace"]
 
 
+#: ``json.dumps(..., sort_keys=True, default=str)``'s encoder, built once
+#: instead of once per record
+_encode_record = json.JSONEncoder(sort_keys=True, default=str).encode
+
+
 def hash_trace(trace) -> str:
     """Canonical SHA-256 over the structured event trace."""
     h = hashlib.sha256()
     for ev in trace.events:
-        h.update(json.dumps([ev.time, ev.category, ev.fields],
-                            sort_keys=True, default=str).encode())
+        h.update(_encode_record([ev.time, ev.category, ev.fields]).encode())
         h.update(b"\n")
     return h.hexdigest()
 

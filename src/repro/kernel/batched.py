@@ -11,6 +11,11 @@ releases follow from them and the whole window is applied from one merged
 event list (``_saturated_run``; the ``saturated_slot_rate`` benchmark's
 regime).  The next tick is then the slot after the window.
 
+A window's SAT hops run in *bulk* — closed form, emitting the SAT events
+itself — while every SAT-event subscriber only records (the trace
+adapter's renderings are marked so); any other SAT subscriber makes the
+window *replay* the real ``_sat_step`` at each hop time.
+
 Runs driven with ``max_events`` budgets, or stopping, never open a window,
 so budget chunk boundaries keep their scalar meaning.
 
@@ -25,14 +30,18 @@ import math
 
 from repro.core.diffserv import COLUMN_CLASSES
 from repro.core.sat import SAT
-from repro.events.types import (LeaveAnnounced, PacketEnqueued, PacketLost,
-                                PacketOrphaned, SlotDeliver, SlotTransmit,
-                                StationKilled)
+from repro.events.types import (LeaveAnnounced, SatArrive, SatHold,
+                                SatRelease, SatRotation, SlotDeliver,
+                                SlotTransmit, StationKilled)
 
 __all__ = ["BatchedKernel", "install_batched_kernel"]
 
 #: a saturated window shorter than this is not worth the setup cost
 _MIN_SAT_WINDOW = 8
+
+#: the events ``_sat_step`` emits on a normal hop: while each of their
+#: subscribers only records, a window emits them itself (bulk mode)
+_SAT_EVENTS = (SatArrive, SatHold, SatRotation, SatRelease)
 
 
 def install_batched_kernel(net) -> "BatchedKernel":
@@ -51,13 +60,6 @@ class BatchedKernel:
             raise RuntimeError("a tick driver is already installed")
         self.net = net
         self.engine = net.engine
-        #: packets accepted into any MAC queue and not yet delivered/lost —
-        #: maintained from the event spine, so it is exact whenever every
-        #: packet exit emits (the invariant the spine already guarantees);
-        #: paths that strand packets (e.g. a killed station before cut-out)
-        #: only ever over-count, which costs the saturated gate a member
-        #: scan, never corrupts it
-        self.buffered = 0
         #: saturated-path telemetry: engaged windows and slots they covered
         self.sat_windows = 0
         self.sat_slots = 0
@@ -65,6 +67,9 @@ class BatchedKernel:
         #: stops at the slot where a subscriber changes either flag
         self._lifecycle = 0
         self._dataplane_private = False
+        #: every subscriber of the four hop events only records: a window
+        #: may then emit them itself instead of replaying ``_sat_step``
+        self._sat_record_only = True
         #: adaptive SAT timers change state on every hop (estimator samples,
         #: re-armed deadlines), so every hop must run through the real
         #: ``_sat_step`` at its real time: the saturated window, whose
@@ -72,21 +77,11 @@ class BatchedKernel:
         self._adaptive = bool(getattr(net, "adaptive_timers", False))
         net.tick_driver = self._next_tick
         bus = net.events
-        bus.subscribe(PacketEnqueued, self._on_packet_in)
-        bus.subscribe(SlotDeliver, self._on_packet_out)
-        bus.subscribe(PacketLost, self._on_packet_out)
-        bus.subscribe(PacketOrphaned, self._on_packet_out)
         bus.subscribe(StationKilled, self._on_lifecycle)
         bus.subscribe(LeaveAnnounced, self._on_lifecycle)
         bus.add_binder(self._recheck_dataplane_subs)
 
     # ------------------------------------------------------------------
-    def _on_packet_in(self, _ev) -> None:
-        self.buffered += 1
-
-    def _on_packet_out(self, _ev) -> None:
-        self.buffered -= 1
-
     def _on_lifecycle(self, _ev) -> None:
         self._lifecycle += 1
 
@@ -95,14 +90,18 @@ class BatchedKernel:
         events are *privately* consumed: the saturated path applies the
         transmit/deliver effects inline, which is only sound while the
         subscriber tuples are exactly the consumers it replicates —
-        network metrics plus its own buffered counter.  Any extra
-        subscriber (a scorer, a gateway, an oracle) turns the path off."""
+        network metrics.  Any extra subscriber (a scorer, a gateway, an
+        oracle) turns the path off.  Also re-derive whether every SAT hop
+        subscriber only records (``record_only``), which picks the
+        window's mode."""
         bus = self.net.events
         mt = self.net.metrics
         self._dataplane_private = (
             bus.subscribers(SlotTransmit) == (mt._on_transmit,)
-            and bus.subscribers(SlotDeliver)
-            == (mt._on_deliver, self._on_packet_out))
+            and bus.subscribers(SlotDeliver) == (mt._on_deliver,))
+        self._sat_record_only = all(
+            getattr(cb, "record_only", False)
+            for etype in _SAT_EVENTS for cb in bus.subscribers(etype))
 
     # ------------------------------------------------------------------
     # the tick driver
@@ -127,7 +126,9 @@ class BatchedKernel:
         in-flight signal, and nothing else — no hooks, channel, impairments,
         RAP, gateways or extra dataplane subscribers — able to observe or
         perturb individual slots.  Cheapest checks first; the per-station
-        scan runs only when everything else already passed."""
+        scan runs only when everything else already passed.  No awake
+        station means no packet anywhere (the awake set is a superset of
+        the positions holding one), so the scan would find nothing."""
         net = self.net
         if self._adaptive:
             # the saturated walk applies sends *ahead* of engine time; a
@@ -136,7 +137,7 @@ class BatchedKernel:
             # deadlines into the window — adaptive ones can, so the regime
             # runs on the scalar schedule
             return False
-        if self.buffered <= 0 or not self._dataplane_private:
+        if not net._awake or not self._dataplane_private:
             return False
         if net._tick_hooks or net._ev_tick or net._ev_occupancy:
             return False
@@ -201,13 +202,18 @@ class BatchedKernel:
         sends before the slot's SAT step — and never touches live state.
 
         Phase 2 *applies* the list in slot order.  Sends are always applied
-        directly (the gate proved metrics + the buffered counter are the only
-        consumers, and every packet is one hop from home).  SAT steps run
-        in one of two modes: while any SAT emitter has a subscriber the
-        real ``_sat_step`` runs at the real hop time (byte-identical event
-        stream, with divergence tripwires against the prediction);
-        otherwise the hand-off bookkeeping is inlined and only each
-        station's final SAT_TIMER restart is re-armed."""
+        directly (the gate proved metrics are the only consumer, and every
+        packet is one hop from home).  SAT steps run in one of two modes.
+        *Bulk*, while every SAT-event subscriber only records (none, or
+        the trace adapter's renderings): the hand-off bookkeeping is
+        inlined, the window emits ``SatArrive``/``SatHold``/
+        ``SatRotation``/``SatRelease`` itself in ``_sat_step``'s order and
+        with its fields, and only each station's final SAT_TIMER restart
+        is re-armed.  *Replay*, for any other SAT subscriber: the real
+        ``_sat_step`` runs at the real hop time (byte-identical event
+        stream), and tripwires after each hop hand the window back to
+        scalar ticking when a subscriber perturbed the ring, or raise when
+        the SAT diverged from the prediction."""
         eng = self.engine
         net = self.net
         ti = int(t)
@@ -232,6 +238,9 @@ class BatchedKernel:
         rem_rt = [len(st.rt_queue) for st in members]
         rem_as = [len(st.as_queue) for st in members]
         rem_be = [len(st.be_queue) for st in members]
+        # the members' buffered packets (no transit: the gate checked);
+        # each send applied takes one off
+        queued = sum(rem_rt) + sum(rem_as) + sum(rem_be)
         seg_start = [ti + 1] * n
         seg_r, seg_a, seg_b = map(list, zip(*(
             st.quota.send_schedule(st.rt_pck, st.nrt_pck, st.as_pck,
@@ -290,8 +299,7 @@ class BatchedKernel:
         self.sat_slots += T
 
         # ---- phase 2: ordered application -----------------------------
-        replay = bool(net._ev_sat_release or net._ev_sat_rotation
-                      or net._ev_sat_arrive or net._ev_sat_hold)
+        replay = not self._sat_record_only
         lifecycle0 = self._lifecycle
         mt = net.metrics
         transmitted = mt.transmitted
@@ -300,6 +308,10 @@ class BatchedKernel:
         e2e = [mt.e2e_delay[c].samples for c in COLUMN_CLASSES]
         dtr = mt.deadlines
         rot_log = net.rotation_log
+        ev_arrive = net._ev_sat_arrive
+        ev_hold = net._ev_sat_hold
+        ev_rotation = net._ev_sat_rotation
+        ev_release = net._ev_sat_release
 
         for slot, kind, i, payload in events:
             if kind == 0:
@@ -329,21 +341,25 @@ class BatchedKernel:
                     else:
                         dtr.missed += 1
                         dtr.miss_lateness.append(td - dl)
-                self.buffered -= 1
+                queued -= 1
             elif replay:
                 tf = float(slot)
-                buffered0 = self.buffered
                 eng.advance_to(tf)
                 net._sat_step(tf)
-                if (eng.stopped or net._sat_lost
+                if (eng.stopped or net._tick_handle is None
+                        or net._sat_lost
                         or net.sat.kind != SAT.NORMAL
                         or net._members is not members
                         or self._lifecycle != lifecycle0
-                        or self.buffered != buffered0):
+                        or sum([len(m.rt_queue) + len(m.as_queue)
+                                + len(m.be_queue) + len(m.transit)
+                                for m in members]) != queued):
                     # a subscriber perturbed the world mid-window (a
-                    # membership change rebuilds ``_members``): all
-                    # effects through this slot are applied, so resume
-                    # normal ticking exactly where scalar would tick
+                    # membership change rebuilds ``_members``; an enqueue
+                    # or a loss moves the buffered total off the walk's),
+                    # or stopped it: all effects through this slot are
+                    # applied, so resume normal ticking exactly where
+                    # scalar would tick
                     return math.floor(eng.now) + 1.0
                 if payload[0] == "hop":
                     want_held = payload[2] is None or payload[2] > payload[1]
@@ -357,16 +373,27 @@ class BatchedKernel:
                         f"saturated walk diverged at t={slot}: predicted "
                         f"release from {members[i].sid}, SAT is {net.sat!r}")
             elif payload[0] == "hop":
+                # ``_sat_step``'s arrival: arrive, hold, rotation, then the
+                # release when the station arrived satisfied
                 _, ptau, pR, hold, pseq, arrival_no = payload
                 st = members[i]
+                sid = st.sid
                 tf = float(slot)
-                if st.last_sat_arrival is not None:
-                    rot_log.add(st.sid, tf - st.last_sat_arrival)
+                if ev_arrive:
+                    ev_arrive(tf, sid, SAT.NORMAL)
+                if hold and ev_hold:
+                    ev_hold(tf, sid)
+                last = st.last_sat_arrival
                 st.last_sat_arrival = tf
                 st.last_sat_seq = pseq
                 st.sat_visits += 1
                 if hold:
                     st.sat_holds += 1
+                if last is not None:
+                    rotation = tf - last
+                    rot_log.add(sid, rotation)
+                    if ev_rotation:
+                        ev_rotation(tf, sid, rotation)
                 if i == 0:
                     sat.rounds += 1
                     rot_log.mark_round(hops0 + arrival_no)
@@ -377,13 +404,18 @@ class BatchedKernel:
                     st.nrt_pck = 0
                     st.as_pck = 0
                     st.be_pck = 0
+                    if ev_release:
+                        ev_release(tf, sid, st._succ_sid)
             else:
                 st = members[i]
-                st.last_sat_departure = float(slot)
+                tf = float(slot)
+                st.last_sat_departure = tf
                 st.rt_pck = 0
                 st.nrt_pck = 0
                 st.as_pck = 0
                 st.be_pck = 0
+                if ev_release:
+                    ev_release(tf, st.sid, st._succ_sid)
 
         if not replay:
             # deferred SAT_TIMER maintenance: every release restarted the

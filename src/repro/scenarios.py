@@ -448,8 +448,8 @@ def build_scenario(scenario: Scenario) -> ScenarioResult:
         sessions = SessionManager(net, workload, scenario.calls, streams)
 
     if scenario.kernel == "batched":
-        # must be installed before start(): the kernel replaces the tick
-        # driver and needs to see every packet-entry event from slot 0
+        # must be installed before start(): the ring's first tick already
+        # asks the tick driver for the next tick time
         from repro.kernel import install_batched_kernel
         install_batched_kernel(net)
 

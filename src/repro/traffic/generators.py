@@ -258,12 +258,17 @@ class PrefillSource:
     Unlike :class:`BacklogSource` this installs *no* per-tick hook, so the
     batched kernel's saturated window stays eligible while the queues drain.
     The single burst runs as a priority ``-1`` agenda event (before the
-    slot-0 tick body, after network start — the enqueues flow through the
-    normal entry funnel and every subscriber sees them).
+    slot-0 tick body, after network start).  It builds all ``count``
+    packets first, in pid order, and hands the list to ``sink`` in one
+    call (:meth:`Workload._sink_burst
+    <repro.traffic.workload.Workload._sink_burst>`, through
+    ``Workload.add_prefill``): the source station takes the burst in one
+    step, or packet by packet through the normal entry funnel while
+    anything subscribes to ``PacketEnqueued``.
     """
 
-    def __init__(self, engine: Engine, flow: FlowSpec, sink: Sink,
-                 count: int):
+    def __init__(self, engine: Engine, flow: FlowSpec,
+                 sink: Callable[[List[Packet]], None], count: int):
         if count < 1:
             raise ValueError(f"prefill count must be >= 1, got {count}")
         self.engine = engine
@@ -279,11 +284,16 @@ class PrefillSource:
         return None  # finite burst: no long-run rate (like BacklogSource)
 
     def _burst(self) -> None:
-        for _ in range(self.count):
-            pkt = self.flow.make_packet(self.engine.now)
-            self.generated += 1
-            self.packets.append(pkt)
-            self.sink(pkt)
+        # ``FlowSpec.make_packet``'s stamping, with the deadline computed
+        # once for the whole burst
+        flow = self.flow
+        now = self.engine.now
+        deadline = None if flow.deadline is None else now + flow.deadline
+        pkts = [Packet(flow.src, flow.dst, flow.service, now, deadline,
+                       flow.flow_id) for _ in range(self.count)]
+        self.generated += len(pkts)
+        self.packets.extend(pkts)
+        self.sink(pkts)
 
 
 class BacklogSource:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import (Packet, QuotaConfig, ServiceClass, WRTRingConfig,
                         WRTRingNetwork)
-from repro.events.types import SatRelease
+from repro.events.types import SatArrive, SatHold, SatRelease, SatRotation
 from repro.kernel import install_batched_kernel
 from repro.sim import Engine
 
@@ -195,7 +195,9 @@ class TestScalarSchedule:
         assert seen == [777.25]
         delivered = net.stations[4].received[ServiceClass.PREMIUM]
         assert delivered == 1
-        assert kern.buffered == 0
+        # no packet left in any station's four buffers
+        assert not any(st.transit or st.rt_queue or st.as_queue
+                       or st.be_queue for st in net.stations.values())
         assert engine.now == 2000.0
 
     def test_mid_gap_enqueue_parity(self):
@@ -225,8 +227,7 @@ class TestScalarSchedule:
             assert snapshot(bn) == snapshot(sn), f"diverged at until={upto}"
 
     def test_sat_subscriber_sees_every_hop_at_its_time(self):
-        # every traced run has one: each hop's events fire at the real hop
-        # time
+        # each hop's events fire at the real hop time
         (se, sn), (be, bn, kern) = make_pair(8)
         releases = []
         for eng, net in ((se, sn), (be, bn)):
@@ -282,11 +283,11 @@ def prefill_successor(net, rt=0, be=0, deadline=None):
 
 
 class TestSaturatedWindow:
-    """The saturated path in trace-off bulk mode: whole SAT windows
-    advanced analytically, byte-identical to the scalar kernel.  (The
-    parity grid's saturated scenarios, seeds 23-25, run both modes: replay
-    traced and bulk with the recorder off; TestSaturatedReplayTripwire
-    pins replay's hand-back.)"""
+    """The saturated path in bulk mode: whole SAT windows advanced
+    analytically, byte-identical to the scalar kernel.  (The parity
+    grid's saturated scenarios, seeds 23-25, run both modes: bulk traced
+    and with the recorder off, replay with a SAT subscriber that does more
+    than record; TestSaturatedReplayTripwire pins replay's hand-back.)"""
 
     def test_bulk_window_matches_scalar(self):
         (se, sn), (be, bn, kern) = make_pair(6, l=2, k=1)
@@ -299,6 +300,38 @@ class TestSaturatedWindow:
         assert snapshot(bn) == snapshot(sn)
         assert metrics_state(bn) == metrics_state(sn)
         # bulk mode re-arms each watchdog once, after the window
+        assert timer_deadlines(bn) == timer_deadlines(sn)
+
+    def test_bulk_window_emits_the_sat_events(self):
+        # record-only subscribers of the four hop events keep the window
+        # in bulk mode, which emits the events itself: the sequence the
+        # real SAT step emits, fields and times included.  A deep Premium
+        # backlog with l=6 on 4 stations makes the SAT wait at stations
+        # inside the windows
+        (se, sn), (be, bn, kern) = make_pair(4, l=6, k=1)
+        logs = []
+        for net in (sn, bn):
+            log = []
+            for etype in (SatArrive, SatHold, SatRotation, SatRelease):
+                def record(ev, log=log):
+                    log.append((type(ev).__name__, ev.t, ev.trace_fields()))
+                record.record_only = True
+                net.events.subscribe(etype, record)
+            logs.append(log)
+        steps = []
+        bn._sat_step = lambda t, step=bn._sat_step: (steps.append(t),
+                                                     step(t))
+        sn.start(); bn.start()
+        prefill_successor(sn, rt=300, be=50)
+        prefill_successor(bn, rt=300, be=50)
+        se.run(until=600.0); be.run(until=600.0)
+        assert kern.sat_windows > 0
+        # bulk: one SAT step per tick, none inside a window
+        assert len(steps) == be.events_executed
+        assert {name for name, _, _ in logs[0]} == {
+            "SatArrive", "SatHold", "SatRotation", "SatRelease"}
+        assert logs[1] == logs[0]
+        assert snapshot(bn) == snapshot(sn)
         assert timer_deadlines(bn) == timer_deadlines(sn)
 
     def test_deadline_classification_matches_scalar(self):
@@ -342,18 +375,19 @@ class TestSaturatedWindow:
 
 
 class TestSaturatedReplayTripwire:
-    """A SAT subscriber runs every saturated window in replay mode; if it
-    perturbs the ring mid-window, the window must hand back to
-    slot-by-slot ticking at that slot and stay equal to the scalar run."""
+    """A SAT subscriber that does more than record runs every saturated
+    window in replay mode; if it perturbs the ring mid-window, the window
+    must hand back to slot-by-slot ticking at that slot and stay equal to
+    the scalar run."""
 
     @staticmethod
-    def run_pair(action):
+    def run_pair(action, at=100.0):
         (se, sn), (be, bn, kern) = make_pair(6, l=2, k=1)
         for eng, net in ((se, sn), (be, bn)):
             fired = []
 
             def on_release(ev, net=net, fired=fired):
-                if not fired and ev.t >= 100.0:
+                if not fired and ev.t >= at:
                     # two hops past the station the SAT is heading to
                     victim = net.successor(net.successor(ev.to))
                     fired.append(victim)
@@ -368,6 +402,7 @@ class TestSaturatedReplayTripwire:
         assert snapshot(bn) == snapshot(sn)
         assert metrics_state(bn) == metrics_state(sn)
         assert timer_deadlines(bn) == timer_deadlines(sn)
+        assert bn.recovery.records == sn.recovery.records
         return sn
 
     def test_leave_mid_window(self):
@@ -382,6 +417,22 @@ class TestSaturatedReplayTripwire:
         sn = self.run_pair(lambda net, sid: net.insert_station(
             77, after=sid, quota=QuotaConfig.two_class(2, 1)))
         assert len(sn.order) == 7
+
+    def test_enqueue_mid_window(self):
+        # no membership or lifecycle change: only the buffered total
+        # moves off the walk's prediction.  From t=120 the victim's
+        # Premium queue drains inside the window, so the extra packet
+        # turns a predicted release into a hold
+        sn = self.run_pair(lambda net, sid: net.enqueue(
+            pkt(sid, net.successor(sid), created=net.engine.now)), at=120.0)
+        assert sum(st.enqueued[ServiceClass.PREMIUM]
+                   for st in sn.stations.values()) == 6 * 40 + 1
+
+    def test_stop_mid_window(self):
+        sn = self.run_pair(lambda net, sid: net.stop())
+        assert sn.engine.now == 600.0 and sn.sat.arrival_time < 110.0
+        assert sn.recovery.records == []
+        assert not any(t.running for t in sn.recovery.timers.values())
 
 
 # ======================================================================

@@ -10,15 +10,17 @@ kernel opened a saturated window (one tick dispatch for many slots).
 
 import glob
 import os
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from repro.events.types import SatRelease
 from repro.fuzz.bundle import load_bundle
 from repro.fuzz.generate import FuzzCase, generate_case
 from repro.kernel.diff import (_compare_runs, diff_fuzz_case, diff_scenario,
                                seeded_grid)
-from repro.scenarios import build_scenario, run_scenario
+from repro.scenarios import build_scenario
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
@@ -34,6 +36,35 @@ def run_untraced(scenario, kernel):
     result.trace.enable_only(())
     result.engine.run(until=scenario.horizon)
     return result
+
+
+def run_with_sat_subscriber(scenario, kernel):
+    """Run ``scenario`` traced on ``kernel`` with one more ``SatRelease``
+    subscriber, one that reads the ring's clock at each release: it does
+    more than record, so saturated windows replay the real SAT step."""
+    result = build_scenario(replace(scenario, kernel=kernel))
+    engine = result.engine
+    seen = []
+    result.network.events.subscribe(
+        SatRelease, lambda ev: seen.append((ev.t, engine.now)))
+    engine.run(until=scenario.horizon)
+    # replay runs each hop at its time: the clock matches every release
+    assert seen and all(t == now for t, now in seen)
+    return result
+
+
+def count_sat_steps(result) -> Counter:
+    """Count the ring's slot bodies and SAT steps from here on.  A
+    saturated window in bulk mode calls no SAT step, so steps never
+    outnumber bodies; one in replay mode calls a step per hop."""
+    net = result.network
+    counts: Counter = Counter()
+    for name in ("_tick_body", "_sat_step"):
+        def counted(t, _method=getattr(net, name), _name=name):
+            counts[_name] += 1
+            return _method(t)
+        setattr(net, name, counted)
+    return counts
 
 
 class TestCorpusParity:
@@ -72,25 +103,41 @@ class TestSeededGridParity:
                              run_untraced(scenario, "batched"))
         assert diff.ok, diff.describe()
 
-    @pytest.mark.parametrize("seed,traced", [
-        (23, True), (24, True), (25, True),
-        (23, False), (24, False), (25, False)],
-        ids=["23", "24", "25", "23-untraced", "24-untraced", "25-untraced"])
-    def test_saturated_points_engage_windows(self, seed, traced):
-        # parity alone cannot tell a window that engaged from one that
-        # fell back to slot-by-slot ticking: both are byte-identical
+    @pytest.mark.parametrize("seed", [23, 24, 25])
+    def test_saturated_point_parity_with_sat_subscriber(self, seed):
+        # the replay mode's grid: traced runs now take bulk mode, so a
+        # SAT subscriber that does more than record keeps replay covered
         scenario = next(s for s in GRID if s.seed == seed)
-        if traced:
-            result = run_scenario(replace(scenario, kernel="batched"))
-        else:
-            result = run_untraced(scenario, "batched")
-        net = result.network
-        assert net.tick_driver.__self__.sat_windows > 0
-        # a window replays the real SAT step exactly when a SAT event
-        # has a subscriber; the trace-off run takes the bulk mode
-        sat_subscribed = bool(net._ev_sat_release or net._ev_sat_rotation
-                              or net._ev_sat_arrive or net._ev_sat_hold)
-        assert sat_subscribed == traced
+        diff = _compare_runs(f"sat-subscribed grid seed {seed}",
+                             run_with_sat_subscriber(scenario, "scalar"),
+                             run_with_sat_subscriber(scenario, "batched"))
+        assert diff.ok, diff.describe()
+
+    @pytest.mark.parametrize("seed,mode", [
+        (23, "traced"), (24, "traced"), (25, "traced"),
+        (23, "untraced"), (24, "untraced"), (25, "untraced"),
+        (23, "subscriber"), (24, "subscriber"), (25, "subscriber")],
+        ids=["23", "24", "25", "23-untraced", "24-untraced", "25-untraced",
+             "23-subscriber", "24-subscriber", "25-subscriber"])
+    def test_saturated_points_engage_windows(self, seed, mode):
+        # parity alone cannot tell a window that engaged from one that
+        # fell back to slot-by-slot ticking, nor bulk from replay: all
+        # are byte-identical
+        scenario = replace(next(s for s in GRID if s.seed == seed),
+                           kernel="batched")
+        result = build_scenario(scenario)
+        counts = count_sat_steps(result)
+        if mode == "untraced":
+            result.trace.enable_only(())
+        elif mode == "subscriber":
+            result.network.events.subscribe(SatRelease, lambda ev: None)
+        result.engine.run(until=scenario.horizon)
+        assert result.network.tick_driver.__self__.sat_windows > 0
+        # the trace adapter's renderings only record, so a traced window
+        # takes bulk mode as a trace-off one does; any other SAT
+        # subscriber makes it replay
+        replayed = counts["_sat_step"] > counts["_tick_body"]
+        assert replayed == (mode == "subscriber"), counts
 
 
 class TestFabricKernelParity:

@@ -4,6 +4,8 @@ A ring-slot that moves no packet is the tick, the SAT hop and its watchdog
 kick; on a light-load ring that is most slots.  These tests count the
 Python-level calls into ``repro`` such slots make (``sys.setprofile``), so
 a frame added to the per-slot path fails here whatever the host's speed.
+The slot-0 prefill burst of the Sec. 2.6 worst case is counted per packet
+the same way.
 
 Comprehension frames are not counted: Python 3.12 inlines them, so
 counting them would tie the bounds to the interpreter.
@@ -13,8 +15,11 @@ import os
 import sys
 from collections import Counter
 
+import pytest
+
 import repro
-from repro.core import WRTRingConfig, WRTRingNetwork
+from repro.core import ServiceClass, WRTRingConfig, WRTRingNetwork
+from repro.scenarios import Scenario, TrafficMix, build_scenario
 from repro.sim import Engine
 from repro.sim.trace import TraceRecorder
 
@@ -85,3 +90,20 @@ def test_bare_engine_chain():
     assert engine.events_executed == count + 1
     per_event = sum(calls.values()) / engine.events_executed
     assert per_event <= 4, calls.most_common()
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "batched"])
+def test_prefill_burst_per_packet(kernel):
+    # each flow's burst enters its queue in one step, so a prefilled
+    # packet costs its ``Packet.__init__``; the bursts' own calls and the
+    # slot-0 tick spread over 8,000 packets
+    scn = Scenario(n=8, l=2, k=1, horizon=10.0, kernel=kernel,
+                   traffic=TrafficMix(kind="prefill", burst=500,
+                                      service=ServiceClass.PREMIUM,
+                                      neighbours_only=True))
+    built = build_scenario(scn)
+    calls = calls_into_repro(lambda: built.engine.run(until=0.5))
+    packets = built.workload.generated()
+    assert packets == 8 * 2 * 500   # a Premium and a best-effort flow each
+    per_packet = sum(calls.values()) / packets
+    assert per_packet <= 1.1, calls.most_common(8)

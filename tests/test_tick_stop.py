@@ -1,6 +1,7 @@
 """``stop()`` ends a network's ticking, whether it runs between two
 ``run()`` calls or from inside a tick (a tick hook, say): every network
-that ticks once per slot re-arms its tick only while it is not stopped."""
+that ticks once per slot re-arms its tick only while it is not stopped,
+and a stopped WRT-Ring keeps no watchdog armed."""
 
 import random
 
@@ -58,5 +59,11 @@ def test_stop_ends_the_ticking(kind, where):
     if where == "between-runs":
         engine.run(until=10.0)
         net.stop()
-    engine.run(until=50.0)
+    engine.run(until=500.0)
     assert ticks == [float(t) for t in range(11)]
+    if kind.startswith("wrt-ring"):
+        # the stopping slot's SAT step runs after the tick hooks and may
+        # kick a SAT_TIMER: a stopped ring must still keep none armed, or
+        # one fires later and launches a recovery
+        assert net.recovery.records == []
+        assert not any(t.running for t in net.recovery.timers.values())

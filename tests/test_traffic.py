@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core import ServiceClass, WRTRingConfig, WRTRingNetwork
+from repro.events.types import PacketEnqueued
 from repro.sim import Engine, RandomStreams
 from repro.traffic import (BacklogSource, CBRSource, FlowSpec, OnOffSource,
                            PoissonSource, VideoSource, Workload)
@@ -330,3 +331,108 @@ class TestWorkload:
         eng.run(until=3000)
         assert net.metrics.deadlines.met > 0
         assert net.metrics.deadlines.missed == 0
+
+
+class TestPrefillBurst:
+    """A prefill burst enters its source's queue in one step.  It must
+    leave exactly what the per-packet entry funnel (``Workload._sink``,
+    one packet at a time) leaves; with a ``PacketEnqueued`` subscriber it
+    takes that funnel, so the subscriber sees the same event sequence."""
+
+    #: (src, dst, service, deadline, count) on a 6-station ring where 4 is
+    #: dead, 5 is leaving and 9 was never a member
+    FLOWS = [(0, 1, ServiceClass.PREMIUM, 30.0, 7),
+             (0, 3, ServiceClass.BEST_EFFORT, None, 5),
+             (1, 2, ServiceClass.ASSURED, None, 4),
+             (2, 3, ServiceClass.PREMIUM, None, 6),
+             (4, 5, ServiceClass.PREMIUM, None, 3),
+             (5, 0, ServiceClass.BEST_EFFORT, None, 2),
+             (9, 0, ServiceClass.PREMIUM, None, 4)]
+
+    def build(self):
+        eng = Engine()
+        cfg = WRTRingConfig.homogeneous(range(6), l=2, k=2,
+                                        rap_enabled=False)
+        net = WRTRingNetwork(eng, list(range(6)), cfg)
+        net.kill_station(4)
+        net.leave_gracefully(5)
+        return eng, net, Workload(net, RandomStreams(0))
+
+    def flows(self):
+        return [(FlowSpec(src=src, dst=dst, service=svc, deadline=dl), n)
+                for src, dst, svc, dl, n in self.FLOWS]
+
+    @staticmethod
+    def state(net, wl, pid0):
+        def rows(queue):
+            return [(p.pid - pid0, p.src, p.dst, p.service, p.created,
+                     p.deadline, p.t_enqueue, p.flow_id) for p in queue]
+
+        stations = {sid: ([rows(q) for q in (st.rt_queue, st.as_queue,
+                                               st.be_queue, st.transit)],
+                          dict(st.enqueued), st._nonsucc)
+                    for sid, st in net.stations.items()}
+        return stations, sorted(net._awake), wl.rejected_at_source
+
+    def run_both(self, subscribe=None):
+        """(burst state, funnel state, burst events, funnel events)."""
+        flows = self.flows()
+        out = []
+        for burst in (True, False):
+            eng, net, wl = self.build()
+            events = []
+            if subscribe is not None:
+                subscribe(net, events)
+            made = []
+            if burst:
+                sources = [wl.add_prefill(flow, n) for flow, n in flows]
+                eng.run(until=0.0)
+                made = [p for src in sources for p in src.packets]
+                assert wl.generated() == sum(n for _, n in flows)
+                assert [src.generated for src in sources] == [
+                    n for _, n in flows]
+            else:
+                for flow, n in flows:
+                    for _ in range(n):
+                        made.append(flow.make_packet(eng.now))
+                        wl._sink(made[-1])
+            pid0 = made[0].pid
+            assert [p.pid - pid0 for p in made] == list(range(len(made)))
+            out.append((self.state(net, wl, pid0),
+                        [(ev.t, ev.station, ev.packet.pid - pid0)
+                         for ev in events]))
+        (burst_state, burst_events), (funnel_state, funnel_events) = out
+        return burst_state, funnel_state, burst_events, funnel_events
+
+    def test_burst_matches_funnel(self):
+        burst, funnel, _, _ = self.run_both()
+        assert burst == funnel
+        stations, awake, rejected = burst
+        assert rejected == 3 + 2 + 4   # dead, leaving, non-member
+        assert awake == [0, 1, 2]
+        assert stations[0][2] == 5     # the best-effort flow skips 1
+
+    def test_subscriber_sees_the_funnel_sequence(self):
+        def subscribe(net, events):
+            net.events.subscribe(PacketEnqueued, events.append)
+
+        burst, funnel, burst_events, funnel_events = self.run_both(subscribe)
+        assert burst == funnel
+        assert burst_events == funnel_events
+        assert len(burst_events) == 7 + 5 + 4 + 6
+
+    def test_subscriber_acting_mid_burst(self):
+        # a subscriber that kills station 0 at its third packet: the rest
+        # of its bursts are refused at the source, packet by packet
+        def subscribe(net, events):
+            def on_enqueued(ev):
+                events.append(ev)
+                if ev.station == 0 and len(events) == 3:
+                    net.kill_station(0)
+
+            net.events.subscribe(PacketEnqueued, on_enqueued)
+
+        burst, funnel, burst_events, funnel_events = self.run_both(subscribe)
+        assert burst == funnel
+        assert burst_events == funnel_events
+        assert burst[2] == 4 + 5 + 3 + 2 + 4
