@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
+from repro.core.diffserv import COLUMN_CLASSES
 from repro.core.packet import Packet, ServiceClass
 from repro.core.quotas import QuotaConfig
 from repro.events.bus import NULL_EMITTER
@@ -64,10 +65,11 @@ class WRTRingStation:
         self.nrt_pck = 0
         self.as_pck = 0   # Assured share of nrt_pck
         self.be_pck = 0   # best-effort share of nrt_pck
-        # lifetime stats
-        self.sent: Dict[ServiceClass, int] = {c: 0 for c in ServiceClass}
-        self.received: Dict[ServiceClass, int] = {c: 0 for c in ServiceClass}
-        self.enqueued: Dict[ServiceClass, int] = {c: 0 for c in ServiceClass}
+        # lifetime stats, keyed in the enum's order (a tuple, not the
+        # enum: iterating an ``IntEnum`` runs Python code per member)
+        self.sent: Dict[ServiceClass, int] = dict.fromkeys(COLUMN_CLASSES, 0)
+        self.received: Dict[ServiceClass, int] = dict.fromkeys(COLUMN_CLASSES, 0)
+        self.enqueued: Dict[ServiceClass, int] = dict.fromkeys(COLUMN_CLASSES, 0)
         self.sat_visits = 0
         self.sat_holds = 0          # visits where the SAT had to be seized
         self.last_sat_arrival: Optional[float] = None

@@ -46,7 +46,6 @@ def merged_timeline(result) -> List[Dict[str, Any]]:
                              f"trace; collect with include_trace=True")
         ring = report["ring"]
         recorder = TraceRecorder()
-        recorder.enable(*recorder.OPT_IN)      # keep every line it reads
         for line in report["trace"]:
             record = json.loads(line)
             recorder.record_fields(record["t"], record["cat"],

@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.campaign.aggregate import aligned_table
 from repro.campaign.sweep import canonical_json
-from repro.fabric.topology import Topology, topology_to_dict
+from repro.fabric.topology import Resolution, Topology, topology_to_dict
 from repro.fabric.worker import _shard_entry
 
 __all__ = ["FabricRunner", "FabricResult", "run_fabric_point"]
@@ -101,7 +101,7 @@ class FabricResult:
         return aligned_table(headers, rows)
 
     def flow_table(self) -> str:
-        flows = self.topology.resolved_flows()
+        resolution = Resolution(self.topology)
         merged: Dict[int, Dict[str, float]] = {}
         for r in self.reports:
             for key, stats in r["flow_stats"].items():
@@ -116,8 +116,8 @@ class FabricResult:
         headers = ["flow", "path", "ring_hops", "completed", "misses",
                    "mean_delay", "max_delay"]
         rows = []
-        for idx, flow in enumerate(flows):
-            route = self.topology.route(flow.src_ring, flow.dst_ring)
+        for idx, flow in enumerate(resolution.flows):
+            route = resolution.route(flow.src_ring, flow.dst_ring)
             agg = merged.get(idx, {"completed": 0, "misses": 0,
                                    "delay_sum": 0.0, "delay_max": 0.0})
             done = agg["completed"]
@@ -204,8 +204,11 @@ class FabricRunner:
         self._closed = False
         if mode == "serial":
             from repro.fabric.shard import RingShard
+            # one resolution of links, flows and routes for every shard
+            resolution = Resolution(topology)
             self._shards = [RingShard(topology, ring, trace=trace,
-                                      observe=observe, timeline=timeline)
+                                      observe=observe, timeline=timeline,
+                                      resolution=resolution)
                             for ring in range(topology.rings)]
             bounds = [s.sat_bound() for s in self._shards]
         else:

@@ -19,7 +19,7 @@ transient key and never crosses a boundary or lands in a trace record.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.campaign.sweep import canonical_json
 from repro.core.packet import Packet
@@ -27,9 +27,10 @@ from repro.events.bus import NULL_EMITTER
 from repro.events.types import (GatewayBuffer, GatewayDrop, GatewayForward,
                                 PacketLost, PacketOrphaned, SlotDeliver)
 from repro.fabric.frames import FabricFrame
-from repro.fabric.topology import Topology
+from repro.fabric.topology import Resolution, Topology
 from repro.scenarios import build_scenario
 from repro.sim.rng import RandomStreams
+from repro.sim.trace import TraceRecorder
 
 __all__ = ["RingShard"]
 
@@ -55,24 +56,32 @@ class RingShard:
     _ev_buffer = NULL_EMITTER
 
     def __init__(self, topo: Topology, ring: int, trace: bool = True,
-                 observe: bool = False, timeline: bool = False):
+                 observe: bool = False, timeline: bool = False,
+                 resolution: Optional[Resolution] = None):
+        """``resolution`` is the topology's :class:`Resolution`, shared by
+        every shard a runner builds; without one the shard resolves the
+        topology itself."""
         self.topo = topo
         self.ring = ring
-        self.result = build_scenario(topo.ring_scenario(ring))
+        recorder = TraceRecorder()
+        if not trace:
+            # record nothing: switched off before the network attaches its
+            # trace adapter, which then subscribes no rendering, so no
+            # emit site renders a record to discard
+            recorder.enable_only(())
+        self.result = build_scenario(topo.ring_scenario(ring), recorder)
         self.net = self.result.network
         self.engine = self.result.engine
         self.trace = self.result.trace
-        if not trace:
-            # record nothing: the trace adapter drops every subscription,
-            # so no emit site renders a record to discard
-            self.trace.enable_only(())
-        elif timeline:
+        if trace and timeline:
             # the opt-in categories behind the timeline's SAT-hold and
             # slot-occupancy tracks
             from repro.obs.timeline import enable_timeline_categories
             enable_timeline_categories(self.trace)
+        if resolution is None:
+            resolution = Resolution(topo)
         #: neighbour ring -> gateway link
-        self.links = dict(topo.ring_neighbours()[ring])
+        self.links = dict(resolution.neighbours[ring])
         #: neighbour ring -> [(frame, t_buffered), ...]
         self.out_buffers: Dict[int, List[Tuple[FabricFrame, float]]] = {
             nb: [] for nb in self.links}
@@ -96,7 +105,7 @@ class RingShard:
         # the *fabric* seed so they are identical in every execution mode
         streams = RandomStreams(topo.seed)
         self._sources: List[Dict[str, Any]] = []
-        for idx, flow in enumerate(topo.resolved_flows()):
+        for idx, flow in enumerate(resolution.flows):
             if flow.src_ring != ring:
                 continue
             stream = streams.stream(f"fabric.arrivals:{idx}")
@@ -106,7 +115,7 @@ class RingShard:
                 first = stream.expovariate(flow.rate)
             self._sources.append({
                 "idx": idx, "flow": flow,
-                "route": topo.route(flow.src_ring, flow.dst_ring),
+                "route": resolution.route(flow.src_ring, flow.dst_ring),
                 "stream": stream, "next": first, "seq": 0})
         if self._sources:
             self.net.add_tick_hook(self._on_tick)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -33,7 +34,7 @@ from repro.core.packet import ServiceClass
 from repro.scenarios import Scenario, TrafficMix
 from repro.sim.rng import RandomStreams
 
-__all__ = ["GatewayLink", "CrossFlow", "Topology",
+__all__ = ["GatewayLink", "CrossFlow", "Topology", "Resolution",
            "topology_to_dict", "topology_from_dict",
            "load_topology", "save_topology"]
 
@@ -257,7 +258,48 @@ class Topology:
 
     def route(self, src_ring: int, dst_ring: int) -> Tuple[int, ...]:
         """Deterministic shortest ring path (BFS, sorted neighbour order)."""
-        tree = _bfs(self.ring_neighbours(), src_ring)
+        return Resolution(self).route(src_ring, dst_ring)
+
+    def resolved_flows(self) -> List[CrossFlow]:
+        """The cross-ring flow set; generated flows derive from ``seed``."""
+        return Resolution(self).flows
+
+    def ring_scenario(self, ring: int) -> Scenario:
+        """The per-ring scenario: the shared template with this ring's
+        size and an independent seed derived from the fabric seed."""
+        return replace(self.base, n=self.ring_size,
+                       horizon=self.horizon,
+                       seed=RandomStreams(self.seed).derive(f"ring:{ring}"))
+
+
+class Resolution:
+    """A topology's structure, resolved once for everything built from it:
+    the ring neighbour map, the cross-ring flows and their shortest
+    routes.  One BFS per source ring serves the flow draw and every route
+    from that ring.
+
+    A fabric runner makes one resolution and hands it to all its shards.
+    The flows are drawn when first asked for (a route alone draws none)
+    and then kept, as are the BFS trees; after editing the topology, make
+    a new resolution (nothing is kept on the mutable :class:`Topology`).
+    """
+
+    def __init__(self, topo: Topology) -> None:
+        self.topology = topo
+        #: ``ring -> sorted [(neighbour ring, link), ...]`` adjacency
+        self.neighbours = topo.ring_neighbours()
+        #: source ring -> its BFS tree (:func:`_bfs`)
+        self._trees: Dict[int, Dict[int, Tuple[int, int]]] = {}
+
+    def _tree(self, src_ring: int) -> Dict[int, Tuple[int, int]]:
+        tree = self._trees.get(src_ring)
+        if tree is None:
+            tree = self._trees[src_ring] = _bfs(self.neighbours, src_ring)
+        return tree
+
+    def route(self, src_ring: int, dst_ring: int) -> Tuple[int, ...]:
+        """Deterministic shortest ring path (BFS, sorted neighbour order)."""
+        tree = self._tree(src_ring)
         if dst_ring not in tree:
             raise ValueError(f"no gateway path from ring {src_ring} to "
                              f"ring {dst_ring}")
@@ -266,46 +308,35 @@ class Topology:
             path.append(tree[path[-1]][0])
         return tuple(reversed(path))
 
-    def resolved_flows(self) -> List[CrossFlow]:
+    @cached_property
+    def flows(self) -> List[CrossFlow]:
         """The cross-ring flow set; generated flows derive from ``seed``."""
-        if self.flows is not None:
-            return list(self.flows)
-        rng = RandomStreams(self.seed).stream("fabric.flows")
-        adj = self.ring_neighbours()
-        #: source ring -> {ring it reaches: gateway hops}, one BFS per
-        #: source ring drawn
-        reach: Dict[int, Dict[int, int]] = {}
+        topo = self.topology
+        if topo.flows is not None:
+            return list(topo.flows)
+        rng = RandomStreams(topo.seed).stream("fabric.flows")
         out: List[CrossFlow] = []
-        for _ in range(self.cross_flows):
-            src_ring = rng.randrange(self.rings)
-            if src_ring not in reach:
-                reach[src_ring] = {ring: hops for ring, (_up, hops)
-                                   in _bfs(adj, src_ring).items()
-                                   if ring != src_ring}
-            hops = reach[src_ring]
-            if not hops:
+        for _ in range(topo.cross_flows):
+            src_ring = rng.randrange(topo.rings)
+            tree = self._tree(src_ring)
+            if len(tree) == 1:
                 raise ValueError(f"ring {src_ring} reaches no other ring, "
                                  f"so no flow can start there")
             # no ring min_ring_hops away: any reachable ring will do
-            far = sorted(b for b, h in hops.items()
-                         if h >= self.min_ring_hops) or sorted(hops)
+            # (min_ring_hops >= 1 leaves the source ring out)
+            far = (sorted(b for b, (_up, h) in tree.items()
+                          if h >= topo.min_ring_hops)
+                   or sorted(b for b in tree if b != src_ring))
             dst_ring = rng.choice(far)
             out.append(CrossFlow(
                 src_ring=src_ring,
-                src_station=rng.randrange(self.ring_size),
+                src_station=rng.randrange(topo.ring_size),
                 dst_ring=dst_ring,
-                dst_station=rng.randrange(self.ring_size),
-                kind=self.flow_kind, rate=self.flow_rate,
-                period=self.flow_period, service=self.flow_service,
-                deadline=self.flow_deadline))
+                dst_station=rng.randrange(topo.ring_size),
+                kind=topo.flow_kind, rate=topo.flow_rate,
+                period=topo.flow_period, service=topo.flow_service,
+                deadline=topo.flow_deadline))
         return out
-
-    def ring_scenario(self, ring: int) -> Scenario:
-        """The per-ring scenario: the shared template with this ring's
-        size and an independent seed derived from the fabric seed."""
-        return replace(self.base, n=self.ring_size,
-                       horizon=self.horizon,
-                       seed=RandomStreams(self.seed).derive(f"ring:{ring}"))
 
 
 def _bfs(adj: Dict[int, List[Tuple[int, GatewayLink]]],

@@ -19,6 +19,7 @@ connectivity graph:
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
@@ -197,9 +198,12 @@ def construct_ring(graph: ConnectivityGraph) -> List[int]:
     """Construct a feasible virtual ring (Hamiltonian cycle) over ``graph``.
 
     Tries angular order, then nearest-neighbour tours from several starts,
-    each followed by 2-opt repair.  Raises :class:`TopologyError` if all
-    heuristics fail (the caller should treat the scenario as "no ring can be
-    formed", the same outcome the paper's protocol reports).
+    each followed by 2-opt repair.  Each candidate is built only when every
+    earlier one has failed, so a graph the angular order fits builds no
+    nearest-neighbour tour (the tours are pure, so the ring returned is the
+    same either way).  Raises :class:`TopologyError` if all heuristics fail
+    (the caller should treat the scenario as "no ring can be formed", the
+    same outcome the paper's protocol reports).
     """
     n = len(graph)
     if n == 0:
@@ -215,9 +219,9 @@ def construct_ring(graph: ConnectivityGraph) -> List[int]:
             "a station sees fewer than 2 others; the paper requires each "
             "station to reach at least two stations over a single hop")
 
-    candidates = [_angular_order(graph)]
-    starts = range(min(n, 8))
-    candidates.extend(_nearest_neighbour_order(graph, s) for s in starts)
+    candidates = itertools.chain(
+        [_angular_order(graph)],
+        (_nearest_neighbour_order(graph, s) for s in range(min(n, 8))))
     for cand in candidates:
         if ring_is_feasible(cand, graph):
             return cand

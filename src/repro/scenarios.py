@@ -340,17 +340,25 @@ def _attach_traffic(scn: Scenario, net: WRTRingNetwork,
     return wl
 
 
-def build_scenario(scenario: Scenario) -> ScenarioResult:
+def build_scenario(scenario: Scenario,
+                   trace: Optional[TraceRecorder] = None) -> ScenarioResult:
     """Build (and start, but do not run) the complete stack for ``scenario``.
 
     The caller owns the engine drive: the fuzz harness uses this to advance
     time in irregular chunks (including ``max_events``-bounded segments) with
     extra probes attached, while :func:`run_scenario` simply runs to the
     horizon.
+
+    ``trace`` is the recorder to build with (default: a fresh
+    :class:`~repro.sim.trace.TraceRecorder`).  The network's trace adapter
+    subscribes only the categories it has switched on, so a recorder
+    switched off beforehand (``enable_only(())``) leaves no trace handler
+    on the bus.  Building records nothing.
     """
     streams = RandomStreams(scenario.seed)
     engine = Engine()
-    trace = TraceRecorder()
+    if trace is None:
+        trace = TraceRecorder()
     positions = _build_positions(scenario, streams)
     radio_range = _radio_range(scenario)
 

@@ -5,13 +5,14 @@ samples, counting link crossings per control-signal round, timing recovery
 procedures) need a cheap, queryable record of what happened and when.
 
 :class:`TraceRecorder` stores :class:`TraceEvent` records and supports
-category filtering at record time (so hot loops pay ~one dict lookup for
-disabled categories) and simple querying.  A per-category index is
-maintained at record time, so category-filtered queries (``select``,
-``times``, ``last``, ``count``) cost O(matches) instead of a full scan of
-the trace — repeated selects on large traces used to dominate analysis
-passes.  :class:`NullTraceRecorder` is a zero-cost stand-in for
-production-speed runs.
+per-category switches and simple querying.  The switches are checked where
+a record is offered: the trace adapter subscribes a rendering only while
+its category is on, and :meth:`TraceRecorder.record` checks them for every
+other writer.  A per-category index is maintained at record time, so
+category-filtered queries (``select``, ``times``, ``last``, ``count``)
+cost O(matches) instead of a full scan of the trace — repeated selects on
+large traces used to dominate analysis passes.  :class:`NullTraceRecorder`
+is a zero-cost stand-in for production-speed runs.
 
 Categories listed in :attr:`TraceRecorder.OPT_IN` are *disabled by
 default* and must be switched on explicitly (``trace.enable(...)``): they
@@ -94,15 +95,20 @@ class TraceRecorder:
     # recording
     # ------------------------------------------------------------------
     def record(self, time: float, category: str, /, **fields: Any) -> None:
-        self.record_fields(time, category, fields)
+        """Record one event if its category is switched on: the entry
+        point of the channel's ``phy.collision``, the trace adapter's
+        selective renderings and :meth:`from_jsonl`."""
+        if self.is_enabled(category):
+            self.record_fields(time, category, fields)
 
     def record_fields(self, time: float, category: str,
                       fields: Dict[str, Any]) -> None:
-        """Like :meth:`record` but takes the field dict directly (the hot
-        path for the event-bus trace adapter — no kwargs repack).  The
-        recorder takes ownership of *fields*."""
-        if not self.is_enabled(category):
-            return
+        """Record one event unconditionally, taking the field dict directly
+        (no kwargs repack); the recorder takes ownership of *fields*.  The
+        hot path of the trace adapter's 1:1 renderings, which it subscribes
+        only while their category is switched on, and of
+        :func:`repro.fabric.merge.merged_timeline`, which keeps every line
+        it reads."""
         event = TraceEvent(time, category, fields)
         self.events.append(event)
         bucket = self._by_category.get(category)

@@ -303,12 +303,21 @@ class TestTraceSwitchboard:
         assert names["GatewayForward"] == ["TraceAdapter._on_gw_forward"]
 
     def test_trace_off_shard_subscribes_no_trace_handler(self):
+        # the trace-off twin of the test above, captured when a trace-off
+        # shard subscribed its trace renderings and then dropped them: no
+        # ``TraceAdapter`` handler, the rest in the same order
         from repro.fabric import RingShard, Topology
         shard = RingShard(Topology(rings=3, cross_flows=2, seed=1), 1,
                           trace=False)
-        names = subscriber_names(shard.net.events)
-        assert not [(event, cb) for event, cbs in names.items() for cb in cbs
-                    if cb.startswith("TraceAdapter.")]
+        assert subscriber_names(shard.net.events) == {
+            "SlotTransmit": ["NetworkMetrics._on_transmit"],
+            "SlotDeliver": ["NetworkMetrics._on_deliver",
+                            "RingShard._on_deliver"],
+            "PacketLost": ["NetworkMetrics._on_lost",
+                           "RingShard._on_ring_loss"],
+            "PacketOrphaned": ["NetworkMetrics._on_orphaned",
+                               "RingShard._on_ring_loss"],
+        }
         for etype in (ev.GatewayForward, ev.GatewayDrop, ev.RapClose,
                       ev.SatRelease):
             assert shard.net.events.emitter(etype) is NULL_EMITTER

@@ -132,6 +132,8 @@ class TestTopology:
                         links=[GatewayLink(0, 0, 1, 0)])
         with pytest.raises(ValueError, match="ring 2 reaches no other ring"):
             topo.resolved_flows()
+        # routing alone draws no flow
+        assert topo.route(0, 1) == (0, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):

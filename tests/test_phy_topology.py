@@ -1,17 +1,26 @@
 """Unit + property tests for connectivity graphs, ring and tree construction."""
 
+import hashlib
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.phy.topology as topology_module
 from repro.phy import (
+    Arena,
     ConnectivityGraph,
     TopologyError,
     build_bfs_tree,
+    clustered_placement,
     construct_ring,
     dfs_token_tour,
+    grid_placement,
     ring_is_feasible,
     ring_placement,
+    uniform_placement,
 )
 
 
@@ -136,6 +145,108 @@ class TestRingConstruction:
         g = circle_graph(n, radio_range=2 * 30.0 * np.sin(np.pi / n) * margin)
         order = construct_ring(g)
         assert ring_is_feasible(order, g)
+
+
+ARENA = Arena(100.0, 100.0)
+
+
+def ring_grid():
+    """``(placement, graph)`` over every placement in ``phy.geometry``, n
+    from 3 to 48 with several seeds and range margins, then graphs where
+    the angular order fails and a nearest-neighbour tour wins as built."""
+    for n in (3, 4, 5, 8, 13, 24, 48):
+        chord = 2 * 30.0 * np.sin(np.pi / n)
+        for margin in (1.02, 1.3, 2.2):
+            yield "circle", ConnectivityGraph(ring_placement(n, radius=30.0),
+                                              chord * margin)
+            for seed in (0, 1):
+                pos = ring_placement(n, radius=30.0, jitter=3.0,
+                                     rng=np.random.default_rng(seed))
+                yield "jittered", ConnectivityGraph(pos, chord * margin)
+        for radio_range in (20.0, 45.0, 80.0):
+            for seed in (0, 1, 2):
+                pos = uniform_placement(n, ARENA, np.random.default_rng(seed))
+                yield "uniform", ConnectivityGraph(pos, radio_range)
+        spacing = 80.0 / max(1, int(np.ceil(np.sqrt(n))) - 1)
+        for margin in (1.0, 1.5, 2.1):
+            yield "grid", ConnectivityGraph(grid_placement(n, ARENA),
+                                            spacing * margin)
+        for radio_range in (15.0, 30.0, 60.0):
+            for seed in (0, 1):
+                pos = clustered_placement(n, ARENA, 3, 8.0,
+                                          np.random.default_rng(seed))
+                yield "clustered", ConnectivityGraph(pos, radio_range)
+    for n, radio_range, seed in ((20, 35.0, 13), (10, 55.0, 23)):
+        pos = uniform_placement(n, ARENA, np.random.default_rng(seed))
+        yield "uniform", ConnectivityGraph(pos, radio_range)
+    for n, radio_range, seed in ((24, 45.0, 30), (20, 35.0, 51),
+                                 (8, 35.0, 27)):
+        pos = clustered_placement(n, ARENA, 2, 12.0,
+                                  np.random.default_rng(seed))
+        yield "clustered", ConnectivityGraph(pos, radio_range)
+
+
+class TestRingGrid:
+    """``construct_ring`` over :func:`ring_grid`: what it returns, and how
+    many candidate tours it builds on the way."""
+
+    def test_rings_pinned_across_the_grid(self):
+        """Every ring and every error, digest captured when all candidate
+        tours were built before the first was tried."""
+        digest = hashlib.sha256()
+        count = 0
+        for _placement, graph in ring_grid():
+            try:
+                row = construct_ring(graph)
+            except TopologyError as exc:
+                row = str(exc)
+            digest.update(json.dumps(row).encode())
+            count += 1
+        assert count == 194
+        assert digest.hexdigest() == ("eb7bf0911f3aea72cbf74ef0f0b5b86c"
+                                      "265442032cd1eed489f12d14332114c4")
+
+    def test_tours_are_built_only_when_tried(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(topology_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(topology_module, name, wrapper)
+
+        for name in ("_nearest_neighbour_order", "ring_is_feasible",
+                     "_two_opt_repair"):
+            counted(name)
+        outcomes = Counter()
+        for placement, graph in ring_grid():
+            calls.clear()
+            try:
+                construct_ring(graph)
+                won = True
+            except TopologyError:
+                won = False
+            tours = calls["_nearest_neighbour_order"]
+            # a candidate is checked once, and when that fails it is
+            # repaired and checked again
+            tried = calls["ring_is_feasible"] - calls["_two_opt_repair"]
+            assert tours == max(tried - 1, 0), (placement, len(graph))
+            if placement == "circle":
+                assert tours == 0, len(graph)
+            if not won:
+                # "too sparse": a station hears fewer than two others
+                outcomes["no ring" if tried else "too sparse"] += 1
+            else:
+                # only a candidate that failed as built was repaired
+                repaired = calls["_two_opt_repair"] == tried
+                outcomes[("angular order" if tried == 1 else "tour")
+                         + (", repaired" if repaired else "")] += 1
+        # the grid reaches every way out of construct_ring
+        assert set(outcomes) == {"angular order", "angular order, repaired",
+                                 "tour", "tour, repaired", "no ring",
+                                 "too sparse"}, outcomes
 
 
 class TestTree:

@@ -81,6 +81,17 @@ class TestFiltering:
         tr.record(1.0, "c")
         assert tr.count("c") == 1
 
+    def test_record_checks_the_switches(self):
+        # ``record`` is the gate for writers outside the trace adapter;
+        # ``record_fields`` keeps whatever it is handed
+        tr = TraceRecorder()
+        tr.disable("phy.collision")
+        tr.record(1.0, "phy.collision", receiver=3)
+        tr.record(2.0, "sat.arrive", station=0)      # opt-in, still off
+        assert len(tr) == 0
+        tr.record_fields(3.0, "sat.arrive", {"station": 0})
+        assert tr.count("sat.arrive") == 1
+
 
 class TestCategoryIndex:
     """select/times/last answer from the per-category index — it must stay

@@ -5,20 +5,27 @@ kick; on a light-load ring that is most slots.  These tests count the
 Python-level calls into ``repro`` such slots make (``sys.setprofile``), so
 a frame added to the per-slot path fails here whatever the host's speed.
 The slot-0 prefill burst of the Sec. 2.6 worst case is counted per packet
-the same way.
+the same way, and so is the set-up of the shipped building fabric.
 
 Comprehension frames are not counted: Python 3.12 inlines them, so
 counting them would tie the bounds to the interpreter.
 """
 
+import json
 import os
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import repro
 from repro.core import ServiceClass, WRTRingConfig, WRTRingNetwork
+from repro.events.bus import EventBus
+from repro.events.trace_adapter import TraceAdapter
+from repro.fabric import FabricRunner, Topology, topology_from_dict
+from repro.fabric.topology import Resolution
+from repro.phy.topology import _nearest_neighbour_order
 from repro.scenarios import Scenario, TrafficMix, build_scenario
 from repro.sim import Engine
 from repro.sim.trace import TraceRecorder
@@ -30,7 +37,9 @@ N, WARMUP, SLOTS = 48, 200, 2000
 
 
 def calls_into_repro(fn) -> Counter:
-    """Python-level calls into ``repro`` while ``fn()`` runs, by name."""
+    """Python-level calls into ``repro`` while ``fn()`` runs, by code
+    object: look one function up as ``calls[func.__code__]`` (a code
+    object's qualified name exists only from Python 3.11)."""
     calls: Counter = Counter()
 
     def profile(frame, event, _arg):
@@ -38,7 +47,7 @@ def calls_into_repro(fn) -> Counter:
             code = frame.f_code
             if (code.co_filename.startswith(PACKAGE)
                     and code.co_name not in INLINED):
-                calls[getattr(code, "co_qualname", code.co_name)] += 1
+                calls[code] += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -71,9 +80,10 @@ def test_idle_ring_without_trace():
 
 def test_idle_ring_with_default_trace():
     # the trace-off path plus two recorded events (SAT rotation and
-    # release), four calls each
+    # release), three calls each: the emit closure, the adapter's handler
+    # and ``record_fields``
     per_slot, top = idle_ring_calls_per_slot(trace=TraceRecorder())
-    assert per_slot <= 16, top
+    assert per_slot <= 14, top
 
 
 def test_bare_engine_chain():
@@ -107,3 +117,22 @@ def test_prefill_burst_per_packet(kernel):
     assert packets == 8 * 2 * 500   # a Premium and a best-effort flow each
     per_packet = sum(calls.values()) / packets
     assert per_packet <= 1.1, calls.most_common(8)
+
+
+def test_building_fabric_setup():
+    # the building fabric (24 rings x 48 stations, serial, trace off) as
+    # perfbench's ``building_fabric`` sets it up: 86,883 calls when each
+    # ring built eight nearest-neighbour tours it never tried, each shard
+    # resolved every flow and route again, and each ring subscribed its
+    # 45 trace renderings only to drop them; 25,154 measured since
+    config = Path(__file__).parents[1] / "examples" / "conference_building.json"
+    topo = topology_from_dict(json.loads(config.read_text()))
+    calls = calls_into_repro(
+        lambda: FabricRunner(topo, mode="serial", trace=False))
+    assert sum(calls.values()) <= 27_700, calls.most_common(12)
+    assert calls[_nearest_neighbour_order.__code__] == 0
+    assert calls[EventBus.unsubscribe.__code__] == 0
+    assert calls[TraceAdapter._direct_handler.__code__] == 0
+    # one resolution of links, flows and routes for all 24 shards
+    assert calls[Resolution.__init__.__code__] == 1
+    assert calls[Topology.ring_neighbours.__code__] == 1
