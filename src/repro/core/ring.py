@@ -484,10 +484,8 @@ class WRTRingNetwork:
         t = self.engine.now
         if self._tick_body(t) and self._tick_handle is not None:
             nxt = t + 1.0 if self.tick_driver is None else self.tick_driver(t)
-            # a saturated window runs SAT subscribers, which may stop too
-            if self._tick_handle is not None:
-                self.engine.rearm_at(self._tick_handle, nxt)
-                return
+            self.engine.rearm_at(self._tick_handle, nxt)
+            return
         if self._tick_handle is None:
             # stop() ran inside the slot, and the SAT step after it may
             # have kicked a watchdog: a stopped ring keeps none armed

@@ -104,10 +104,9 @@ class EventBus:
 
         Identity-comparable: the batched kernel's saturated path engages
         only while the dataplane subscriber sets are *exactly* the
-        consumers whose effects it replicates inline (network metrics),
-        and runs its windows in bulk mode only while every SAT-event
-        subscriber is marked ``record_only``; it checks both against
-        these tuples from a binder."""
+        consumers whose effects it replicates inline (network metrics)
+        and every SAT-event subscriber is marked ``record_only``; it
+        checks both against these tuples from a binder."""
         return tuple(self._subs.get(etype, ()))
 
     # -- emitter side --------------------------------------------------

@@ -30,8 +30,8 @@ watches the recorder's switches (:meth:`TraceRecorder.watch`), so the
 subscriptions follow every ``enable``/``disable``/``enable_only`` at once.
 
 The 1:1 renderings carry ``record_only = True``: they only append the
-event's record, so the batched kernel's saturated windows emit the SAT
-events they cover without replaying each hop (docs/KERNEL.md).
+event's record, so a traced ring still opens the batched kernel's saturated
+windows, which emit the SAT events they cover themselves (docs/KERNEL.md).
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ class TraceAdapter:
 
         # it reads the event and writes the recorder, nothing else: the
         # batched kernel may emit the SAT events a saturated window holds
-        # without replaying the ring's SAT step for it (a function
+        # itself instead of running the ring's SAT step for it (a function
         # attribute, so ``functools.update_wrapper`` copies it along)
         handler.record_only = True
         return handler

@@ -218,17 +218,23 @@ class FabricRunner:
             ctx = multiprocessing.get_context(
                 "fork" if "fork" in methods else "spawn")
             topo_dict = topology_to_dict(topology)
-            for ring in range(topology.rings):
-                parent, child = ctx.Pipe(duplex=True)
-                proc = ctx.Process(target=_shard_entry,
-                                   args=(child, ring, topo_dict,
-                                         trace, observe, timeline))
-                proc.start()
-                child.close()
-                self._procs.append(proc)
-                self._conns.append(parent)
-            bounds = [self._recv(ring)["sat_bound"]
-                      for ring in range(topology.rings)]
+            try:
+                for ring in range(topology.rings):
+                    parent, child = ctx.Pipe(duplex=True)
+                    proc = ctx.Process(target=_shard_entry,
+                                       args=(child, ring, topo_dict,
+                                             trace, observe, timeline))
+                    proc.start()
+                    child.close()
+                    self._procs.append(proc)
+                    self._conns.append(parent)
+                bounds = [self._recv(ring)["sat_bound"]
+                          for ring in range(topology.rings)]
+            except BaseException:
+                # no caller holds the runner to close it yet, and a live
+                # worker (a later fork holds its pipe open) hangs the exit
+                self.close()
+                raise
         if topology.sync_window is not None:
             self.window = float(topology.sync_window)
         else:

@@ -11,10 +11,10 @@ releases follow from them and the whole window is applied from one merged
 event list (``_saturated_run``; the ``saturated_slot_rate`` benchmark's
 regime).  The next tick is then the slot after the window.
 
-A window's SAT hops run in *bulk* — closed form, emitting the SAT events
-itself — while every SAT-event subscriber only records (the trace
-adapter's renderings are marked so); any other SAT subscriber makes the
-window *replay* the real ``_sat_step`` at each hop time.
+A window emits the SAT events of its hops itself, so it opens only while
+every SAT-event subscriber only records (the trace adapter's renderings are
+marked so); any other SAT subscriber, like an extra dataplane subscriber,
+keeps the ring on the scalar schedule.
 
 Runs driven with ``max_events`` budgets, or stopping, never open a window,
 so budget chunk boundaries keep their scalar meaning.
@@ -30,17 +30,16 @@ import math
 
 from repro.core.diffserv import COLUMN_CLASSES
 from repro.core.sat import SAT
-from repro.events.types import (LeaveAnnounced, SatArrive, SatHold,
-                                SatRelease, SatRotation, SlotDeliver,
-                                SlotTransmit, StationKilled)
+from repro.events.types import (SatArrive, SatHold, SatRelease,
+                                SatRotation, SlotDeliver, SlotTransmit)
 
 __all__ = ["BatchedKernel", "install_batched_kernel"]
 
 #: a saturated window shorter than this is not worth the setup cost
 _MIN_SAT_WINDOW = 8
 
-#: the events ``_sat_step`` emits on a normal hop: while each of their
-#: subscribers only records, a window emits them itself (bulk mode)
+#: the events ``_sat_step`` emits on a normal hop: a window emits them
+#: itself, so each of their subscribers must only record
 _SAT_EVENTS = (SatArrive, SatHold, SatRotation, SatRelease)
 
 
@@ -63,45 +62,31 @@ class BatchedKernel:
         #: saturated-path telemetry: engaged windows and slots they covered
         self.sat_windows = 0
         self.sat_slots = 0
-        #: kills and leave announcements seen: a saturated replay window
-        #: stops at the slot where a subscriber changes either flag
-        self._lifecycle = 0
-        self._dataplane_private = False
-        #: every subscriber of the four hop events only records: a window
-        #: may then emit them itself instead of replaying ``_sat_step``
-        self._sat_record_only = True
         #: adaptive SAT timers change state on every hop (estimator samples,
         #: re-armed deadlines), so every hop must run through the real
         #: ``_sat_step`` at its real time: the saturated window, whose
         #: sends run *ahead* of engine time, stays off
         self._adaptive = bool(getattr(net, "adaptive_timers", False))
         net.tick_driver = self._next_tick
-        bus = net.events
-        bus.subscribe(StationKilled, self._on_lifecycle)
-        bus.subscribe(LeaveAnnounced, self._on_lifecycle)
-        bus.add_binder(self._recheck_dataplane_subs)
+        net.events.add_binder(self._recheck_subscribers)
 
     # ------------------------------------------------------------------
-    def _on_lifecycle(self, _ev) -> None:
-        self._lifecycle += 1
-
-    def _recheck_dataplane_subs(self) -> None:
-        """Re-derive (on every subscription change) whether the dataplane
-        events are *privately* consumed: the saturated path applies the
-        transmit/deliver effects inline, which is only sound while the
-        subscriber tuples are exactly the consumers it replicates —
-        network metrics.  Any extra subscriber (a scorer, a gateway, an
-        oracle) turns the path off.  Also re-derive whether every SAT hop
-        subscriber only records (``record_only``), which picks the
-        window's mode."""
+    def _recheck_subscribers(self) -> None:
+        """Re-derive ``_replicable`` (on every subscription change): the
+        saturated path applies the transmit/deliver effects inline, which
+        is only sound while those subscriber tuples are exactly the
+        consumers it replicates — network metrics — and emits the four SAT
+        hop events while the clock still reads the window's start, which
+        is only sound while each of their subscribers only records
+        (``record_only``).  Any other subscriber (a scorer, a gateway, an
+        oracle, a SAT probe) turns the path off."""
         bus = self.net.events
         mt = self.net.metrics
-        self._dataplane_private = (
+        self._replicable = (
             bus.subscribers(SlotTransmit) == (mt._on_transmit,)
-            and bus.subscribers(SlotDeliver) == (mt._on_deliver,))
-        self._sat_record_only = all(
-            getattr(cb, "record_only", False)
-            for etype in _SAT_EVENTS for cb in bus.subscribers(etype))
+            and bus.subscribers(SlotDeliver) == (mt._on_deliver,)
+            and all(getattr(cb, "record_only", False)
+                    for etype in _SAT_EVENTS for cb in bus.subscribers(etype)))
 
     # ------------------------------------------------------------------
     # the tick driver
@@ -124,11 +109,12 @@ class BatchedKernel:
         backlog under quota control: every member alive and staying, transit
         buffers empty, all queued traffic one hop from home, the SAT a normal
         in-flight signal, and nothing else — no hooks, channel, impairments,
-        RAP, gateways or extra dataplane subscribers — able to observe or
-        perturb individual slots.  Cheapest checks first; the per-station
-        scan runs only when everything else already passed.  No awake
-        station means no packet anywhere (the awake set is a superset of
-        the positions holding one), so the scan would find nothing."""
+        RAP, gateways, extra dataplane subscribers or SAT subscribers that
+        do more than record — able to observe or perturb individual slots.
+        Cheapest checks first; the per-station scan runs only when
+        everything else already passed.  No awake station means no packet
+        anywhere (the awake set is a superset of the positions holding
+        one), so the scan would find nothing."""
         net = self.net
         if self._adaptive:
             # the saturated walk applies sends *ahead* of engine time; a
@@ -137,7 +123,7 @@ class BatchedKernel:
             # deadlines into the window — adaptive ones can, so the regime
             # runs on the scalar schedule
             return False
-        if not net._awake or not self._dataplane_private:
+        if not net._awake or not self._replicable:
             return False
         if net._tick_hooks or net._ev_tick or net._ev_occupancy:
             return False
@@ -198,22 +184,17 @@ class BatchedKernel:
         arrival time, hold decision and release slot follows in closed form
         (release ``R = max(tau, seg_start + r - 1)``; a release truncates
         the Assured/best-effort tail and opens a fresh segment at ``R+1``).
-        The walk builds one merged event list — (slot, kind, pos) with
-        sends before the slot's SAT step — and never touches live state.
+        The walk builds one merged event list — (slot, kind, pos, payload),
+        kind 0 a send, 1 a SAT arrival, 2 a later release, so a slot's
+        sends come before its SAT step — and never touches live state.
 
-        Phase 2 *applies* the list in slot order.  Sends are always applied
+        Phase 2 *applies* the list in slot order.  Sends are applied
         directly (the gate proved metrics are the only consumer, and every
-        packet is one hop from home).  SAT steps run in one of two modes.
-        *Bulk*, while every SAT-event subscriber only records (none, or
-        the trace adapter's renderings): the hand-off bookkeeping is
-        inlined, the window emits ``SatArrive``/``SatHold``/
-        ``SatRotation``/``SatRelease`` itself in ``_sat_step``'s order and
-        with its fields, and only each station's final SAT_TIMER restart
-        is re-armed.  *Replay*, for any other SAT subscriber: the real
-        ``_sat_step`` runs at the real hop time (byte-identical event
-        stream), and tripwires after each hop hand the window back to
-        scalar ticking when a subscriber perturbed the ring, or raise when
-        the SAT diverged from the prediction."""
+        packet is one hop from home).  The hand-off bookkeeping is inlined:
+        the window emits ``SatArrive``/``SatHold``/``SatRotation``/
+        ``SatRelease`` itself in ``_sat_step``'s order and with its fields
+        (the gate proved every subscriber of them only records), and only
+        each station's final SAT_TIMER restart is re-armed."""
         eng = self.engine
         net = self.net
         ti = int(t)
@@ -238,9 +219,6 @@ class BatchedKernel:
         rem_rt = [len(st.rt_queue) for st in members]
         rem_as = [len(st.as_queue) for st in members]
         rem_be = [len(st.be_queue) for st in members]
-        # the members' buffered packets (no transit: the gate checked);
-        # each send applied takes one off
-        queued = sum(rem_rt) + sum(rem_as) + sum(rem_be)
         seg_start = [ti + 1] * n
         seg_r, seg_a, seg_b = map(list, zip(*(
             st.quota.send_schedule(st.rt_pck, st.nrt_pck, st.as_pck,
@@ -265,13 +243,12 @@ class BatchedKernel:
             R = sat_from if hold else tau
             if R > t_end:
                 # held past the window edge: record the arrival and stop
-                events.append((tau, 1, i, ("hop", tau, None, True, seq,
-                                           arrivals)))
+                events.append((tau, 1, i, (None, True, seq, arrivals)))
                 held_pos = i
                 break
-            events.append((tau, 1, i, ("hop", tau, R, hold, seq, arrivals)))
+            events.append((tau, 1, i, (R, hold, seq, arrivals)))
             if R > tau:
-                events.append((R, 1, i, ("rel", R)))
+                events.append((R, 2, i, None))
             r_done, a_done, b_done = self._emit_sends(
                 events, i, s, r, a, b, R)
             rem_rt[i] -= r_done
@@ -299,8 +276,6 @@ class BatchedKernel:
         self.sat_slots += T
 
         # ---- phase 2: ordered application -----------------------------
-        replay = not self._sat_record_only
-        lifecycle0 = self._lifecycle
         mt = net.metrics
         transmitted = mt.transmitted
         delivered = mt.delivered
@@ -341,41 +316,10 @@ class BatchedKernel:
                     else:
                         dtr.missed += 1
                         dtr.miss_lateness.append(td - dl)
-                queued -= 1
-            elif replay:
-                tf = float(slot)
-                eng.advance_to(tf)
-                net._sat_step(tf)
-                if (eng.stopped or net._tick_handle is None
-                        or net._sat_lost
-                        or net.sat.kind != SAT.NORMAL
-                        or net._members is not members
-                        or self._lifecycle != lifecycle0
-                        or sum([len(m.rt_queue) + len(m.as_queue)
-                                + len(m.be_queue) + len(m.transit)
-                                for m in members]) != queued):
-                    # a subscriber perturbed the world mid-window (a
-                    # membership change rebuilds ``_members``; an enqueue
-                    # or a loss moves the buffered total off the walk's),
-                    # or stopped it: all effects through this slot are
-                    # applied, so resume normal ticking exactly where
-                    # scalar would tick
-                    return math.floor(eng.now) + 1.0
-                if payload[0] == "hop":
-                    want_held = payload[2] is None or payload[2] > payload[1]
-                    if want_held != (net.sat.at_station is not None):
-                        raise RuntimeError(
-                            f"saturated walk diverged at t={slot}: predicted "
-                            f"{'hold' if want_held else 'release'} at "
-                            f"{members[i].sid}, SAT is {net.sat!r}")
-                elif not net.sat.in_flight:
-                    raise RuntimeError(
-                        f"saturated walk diverged at t={slot}: predicted "
-                        f"release from {members[i].sid}, SAT is {net.sat!r}")
-            elif payload[0] == "hop":
+            elif kind == 1:
                 # ``_sat_step``'s arrival: arrive, hold, rotation, then the
                 # release when the station arrived satisfied
-                _, ptau, pR, hold, pseq, arrival_no = payload
+                pR, hold, pseq, arrival_no = payload
                 st = members[i]
                 sid = st.sid
                 tf = float(slot)
@@ -417,25 +361,24 @@ class BatchedKernel:
                 if ev_release:
                     ev_release(tf, st.sid, st._succ_sid)
 
-        if not replay:
-            # deferred SAT_TIMER maintenance: every release restarted the
-            # holder's watchdog, but only the final restart survives —
-            # re-arm once per station, in release order, at the exact
-            # deadline the scalar path would have left armed
-            rearms = sorted((R, i) for i, R in enumerate(final_release)
-                            if R is not None)
-            for R, i in rearms:
-                eng.advance_to(float(R))
-                net.recovery.restart_timer(members[i].sid)
-            sat.hops = hops0 + arrivals
-            sat.seq = seq
-            net._sat_seq = seq
-            if held_pos is not None:
-                sat.at_station = members[held_pos].sid
-                sat.in_flight_to = None
-                sat.arrival_time = None
-            else:
-                sat.at_station = None
-                sat.in_flight_to = members[pos].sid
-                sat.arrival_time = float(tau)
+        # deferred SAT_TIMER maintenance: every release restarted the
+        # holder's watchdog, but only the final restart survives — re-arm
+        # once per station, in release order, at the exact deadline the
+        # scalar path would have left armed
+        rearms = sorted((R, i) for i, R in enumerate(final_release)
+                        if R is not None)
+        for R, i in rearms:
+            eng.advance_to(float(R))
+            net.recovery.restart_timer(members[i].sid)
+        sat.hops = hops0 + arrivals
+        sat.seq = seq
+        net._sat_seq = seq
+        if held_pos is not None:
+            sat.at_station = members[held_pos].sid
+            sat.in_flight_to = None
+            sat.arrival_time = None
+        else:
+            sat.at_station = None
+            sat.in_flight_to = members[pos].sid
+            sat.arrival_time = float(tau)
         return float(t_end) + 1.0

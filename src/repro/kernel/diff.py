@@ -176,10 +176,10 @@ def seeded_grid() -> List[Scenario]:
     Horizons are sized so the whole grid runs both kernels in well under a
     CI minute while still crossing many saturated-window boundaries.  Every
     grid run is traced; the trace adapter's SAT renderings only record, so
-    its saturated windows run in bulk mode, as they do in the kernel-parity
+    its saturated points open windows, as they do in the kernel-parity
     tests' runs with the trace recorder off.  Those tests run the saturated
     points (seeds 23-25) once more with a SAT subscriber that does more
-    than record, which makes their windows replay the real SAT step.
+    than record, which keeps every window shut.
     """
     from repro.faults import FaultEvent, FaultSchedule
 

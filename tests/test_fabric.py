@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 import signal
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from repro.fabric import (CrossFlow, FabricFrame, FabricRunner, GatewayLink,
                           load_topology, merged_timeline, merged_trace_lines,
                           run_fabric_point, save_topology, topology_from_dict,
                           topology_to_dict)
+from repro.phy.topology import TopologyError
 
 
 def small_topology(**kwargs) -> Topology:
@@ -626,6 +628,28 @@ class TestRunnerLifecycle:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    def test_sharded_start_up_failure_leaves_no_worker(self):
+        # ring 0's stations are too sparse to form a ring; rings 1-3 build.
+        # The runner raises before any caller holds it, so it must close
+        # its own workers: a live one would hang the interpreter's exit
+        topo = topology_from_dict({
+            "n": 8, "placement": "uniform", "range_margin": 1.7,
+            "horizon": 100.0, "seed": 3,
+            "topology": {"rings": 4, "ring_size": 8, "cross_flows": 0}})
+        with pytest.raises(TopologyError):
+            RingShard(topo, 0, trace=False)
+        for ring in (1, 2, 3):
+            RingShard(topo, ring, trace=False)
+        before = set(multiprocessing.active_children())
+        try:
+            with pytest.raises(RuntimeError, match="fabric shard 0 failed"):
+                FabricRunner(topo, mode="sharded")
+            assert set(multiprocessing.active_children()) <= before
+        finally:
+            for proc in set(multiprocessing.active_children()) - before:
+                proc.terminate()
+                proc.join(5.0)
 
     def test_shard_station_count(self):
         shard = RingShard(small_topology(), 1, trace=False)

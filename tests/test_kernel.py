@@ -283,11 +283,11 @@ def prefill_successor(net, rt=0, be=0, deadline=None):
 
 
 class TestSaturatedWindow:
-    """The saturated path in bulk mode: whole SAT windows advanced
-    analytically, byte-identical to the scalar kernel.  (The parity
-    grid's saturated scenarios, seeds 23-25, run both modes: bulk traced
-    and with the recorder off, replay with a SAT subscriber that does more
-    than record; TestSaturatedReplayTripwire pins replay's hand-back.)"""
+    """The saturated path: whole SAT windows advanced analytically,
+    byte-identical to the scalar kernel.  (The parity grid's saturated
+    scenarios, seeds 23-25, open windows traced and with the recorder off;
+    TestSatSubscriberGate pins that a SAT subscriber that does more than
+    record keeps them shut.)"""
 
     def test_bulk_window_matches_scalar(self):
         (se, sn), (be, bn, kern) = make_pair(6, l=2, k=1)
@@ -299,13 +299,13 @@ class TestSaturatedWindow:
         assert kern.sat_slots > 100
         assert snapshot(bn) == snapshot(sn)
         assert metrics_state(bn) == metrics_state(sn)
-        # bulk mode re-arms each watchdog once, after the window
+        # a window re-arms each watchdog once, after the window
         assert timer_deadlines(bn) == timer_deadlines(sn)
 
     def test_bulk_window_emits_the_sat_events(self):
         # record-only subscribers of the four hop events keep the window
-        # in bulk mode, which emits the events itself: the sequence the
-        # real SAT step emits, fields and times included.  A deep Premium
+        # open, and it emits the events itself: the sequence the real SAT
+        # step emits, fields and times included.  A deep Premium
         # backlog with l=6 on 4 stations makes the SAT wait at stations
         # inside the windows
         (se, sn), (be, bn, kern) = make_pair(4, l=6, k=1)
@@ -326,7 +326,7 @@ class TestSaturatedWindow:
         prefill_successor(bn, rt=300, be=50)
         se.run(until=600.0); be.run(until=600.0)
         assert kern.sat_windows > 0
-        # bulk: one SAT step per tick, none inside a window
+        # one SAT step per tick, none inside a window
         assert len(steps) == be.events_executed
         assert {name for name, _, _ in logs[0]} == {
             "SatArrive", "SatHold", "SatRotation", "SatRelease"}
@@ -374,14 +374,34 @@ class TestSaturatedWindow:
         assert snapshot(bn) == snapshot(sn)
 
 
-class TestSaturatedReplayTripwire:
-    """A SAT subscriber that does more than record runs every saturated
-    window in replay mode; if it perturbs the ring mid-window, the window
-    must hand back to slot-by-slot ticking at that slot and stay equal to
-    the scalar run."""
+class TestSatSubscriberGate:
+    """A SAT subscriber that does more than record keeps every saturated
+    window shut, so a subscriber that perturbs the ring from inside a hop
+    acts at the slot it fires in, and the batched run stays equal to the
+    scalar one."""
 
-    @staticmethod
-    def run_pair(action, at=100.0):
+    @pytest.mark.parametrize("action,at,check", [
+        (lambda net, sid: net.leave_gracefully(sid), 100.0,
+         lambda sn: len(sn.order) == 5),
+        (lambda net, sid: net.kill_station(sid), 100.0,
+         lambda sn: sum(st.alive for st in sn.stations.values()) == 5),
+        (lambda net, sid: net.insert_station(
+            77, after=sid, quota=QuotaConfig.two_class(2, 1)), 100.0,
+         lambda sn: len(sn.order) == 7),
+        # from t=120 the victim's Premium queue drains within a few
+        # rotations, so the extra packet turns a release into a hold
+        (lambda net, sid: net.enqueue(
+            pkt(sid, net.successor(sid), created=net.engine.now)), 120.0,
+         lambda sn: sum(st.enqueued[ServiceClass.PREMIUM]
+                        for st in sn.stations.values()) == 6 * 40 + 1),
+        (lambda net, sid: net.stop(), 100.0,
+         lambda sn: (sn.engine.now == 600.0 and sn.sat.arrival_time < 110.0
+                     and sn.recovery.records == []
+                     and not any(t.running
+                                 for t in sn.recovery.timers.values()))),
+    ], ids=["leave", "kill", "insert", "enqueue", "stop"])
+    def test_perturbing_sat_subscriber_keeps_windows_shut(self, action, at,
+                                                          check):
         (se, sn), (be, bn, kern) = make_pair(6, l=2, k=1)
         for eng, net in ((se, sn), (be, bn)):
             fired = []
@@ -398,41 +418,12 @@ class TestSaturatedReplayTripwire:
             prefill_successor(net, rt=40, be=20)
             eng.run(until=600.0)
             assert fired
-        assert kern.sat_windows > 0
+        assert kern.sat_windows == 0
+        assert check(sn)
         assert snapshot(bn) == snapshot(sn)
         assert metrics_state(bn) == metrics_state(sn)
         assert timer_deadlines(bn) == timer_deadlines(sn)
         assert bn.recovery.records == sn.recovery.records
-        return sn
-
-    def test_leave_mid_window(self):
-        sn = self.run_pair(lambda net, sid: net.leave_gracefully(sid))
-        assert len(sn.order) == 5
-
-    def test_kill_mid_window(self):
-        sn = self.run_pair(lambda net, sid: net.kill_station(sid))
-        assert sum(st.alive for st in sn.stations.values()) == 5
-
-    def test_insert_mid_window(self):
-        sn = self.run_pair(lambda net, sid: net.insert_station(
-            77, after=sid, quota=QuotaConfig.two_class(2, 1)))
-        assert len(sn.order) == 7
-
-    def test_enqueue_mid_window(self):
-        # no membership or lifecycle change: only the buffered total
-        # moves off the walk's prediction.  From t=120 the victim's
-        # Premium queue drains inside the window, so the extra packet
-        # turns a predicted release into a hold
-        sn = self.run_pair(lambda net, sid: net.enqueue(
-            pkt(sid, net.successor(sid), created=net.engine.now)), at=120.0)
-        assert sum(st.enqueued[ServiceClass.PREMIUM]
-                   for st in sn.stations.values()) == 6 * 40 + 1
-
-    def test_stop_mid_window(self):
-        sn = self.run_pair(lambda net, sid: net.stop())
-        assert sn.engine.now == 600.0 and sn.sat.arrival_time < 110.0
-        assert sn.recovery.records == []
-        assert not any(t.running for t in sn.recovery.timers.values())
 
 
 # ======================================================================

@@ -31,7 +31,7 @@ GRID_IDS = [f"seed{s.seed}-{s.traffic.kind}" for s in GRID]
 def run_untraced(scenario, kernel):
     """Run ``scenario`` on ``kernel`` with the trace recorder off, as a
     ``trace=False`` fabric shard does: no SAT event has a subscriber, so
-    saturated windows run in bulk mode."""
+    saturated windows open."""
     result = build_scenario(replace(scenario, kernel=kernel))
     result.trace.enable_only(())
     result.engine.run(until=scenario.horizon)
@@ -41,22 +41,22 @@ def run_untraced(scenario, kernel):
 def run_with_sat_subscriber(scenario, kernel):
     """Run ``scenario`` traced on ``kernel`` with one more ``SatRelease``
     subscriber, one that reads the ring's clock at each release: it does
-    more than record, so saturated windows replay the real SAT step."""
+    more than record, so no saturated window opens."""
     result = build_scenario(replace(scenario, kernel=kernel))
     engine = result.engine
     seen = []
     result.network.events.subscribe(
         SatRelease, lambda ev: seen.append((ev.t, engine.now)))
     engine.run(until=scenario.horizon)
-    # replay runs each hop at its time: the clock matches every release
+    # every hop runs at its time: the clock matches every release
     assert seen and all(t == now for t, now in seen)
     return result
 
 
 def count_sat_steps(result) -> Counter:
     """Count the ring's slot bodies and SAT steps from here on.  A
-    saturated window in bulk mode calls no SAT step, so steps never
-    outnumber bodies; one in replay mode calls a step per hop."""
+    saturated window calls no SAT step, so steps never outnumber
+    bodies."""
     net = result.network
     counts: Counter = Counter()
     for name in ("_tick_body", "_sat_step"):
@@ -96,7 +96,7 @@ class TestSeededGridParity:
     @pytest.mark.parametrize("idx", range(len(GRID)), ids=GRID_IDS)
     def test_grid_point_parity_untraced(self, idx):
         # the trace-off regimes: quiescent stretches with no SAT
-        # subscriber, and saturated windows in bulk mode
+        # subscriber, and saturated windows
         scenario = GRID[idx]
         diff = _compare_runs(f"untraced grid[{idx}]",
                              run_untraced(scenario, "scalar"),
@@ -105,8 +105,9 @@ class TestSeededGridParity:
 
     @pytest.mark.parametrize("seed", [23, 24, 25])
     def test_saturated_point_parity_with_sat_subscriber(self, seed):
-        # the replay mode's grid: traced runs now take bulk mode, so a
-        # SAT subscriber that does more than record keeps replay covered
+        # a SAT subscriber that does more than record keeps every window
+        # shut, so the batched run must match the scalar one dispatch for
+        # dispatch: ``_compare_runs`` also compares ``events_executed``
         scenario = next(s for s in GRID if s.seed == seed)
         diff = _compare_runs(f"sat-subscribed grid seed {seed}",
                              run_with_sat_subscriber(scenario, "scalar"),
@@ -120,9 +121,8 @@ class TestSeededGridParity:
         ids=["23", "24", "25", "23-untraced", "24-untraced", "25-untraced",
              "23-subscriber", "24-subscriber", "25-subscriber"])
     def test_saturated_points_engage_windows(self, seed, mode):
-        # parity alone cannot tell a window that engaged from one that
-        # fell back to slot-by-slot ticking, nor bulk from replay: all
-        # are byte-identical
+        # parity alone cannot tell a window that engaged from slot-by-slot
+        # ticking: both are byte-identical
         scenario = replace(next(s for s in GRID if s.seed == seed),
                            kernel="batched")
         result = build_scenario(scenario)
@@ -132,12 +132,52 @@ class TestSeededGridParity:
         elif mode == "subscriber":
             result.network.events.subscribe(SatRelease, lambda ev: None)
         result.engine.run(until=scenario.horizon)
-        assert result.network.tick_driver.__self__.sat_windows > 0
-        # the trace adapter's renderings only record, so a traced window
-        # takes bulk mode as a trace-off one does; any other SAT
-        # subscriber makes it replay
-        replayed = counts["_sat_step"] > counts["_tick_body"]
-        assert replayed == (mode == "subscriber"), counts
+        windows = result.network.tick_driver.__self__.sat_windows
+        if mode == "subscriber":
+            # a SAT subscriber that does more than record shuts the gate:
+            # every slot runs its body and, in it, the real SAT step
+            assert windows == 0
+            assert counts["_sat_step"] == counts["_tick_body"], counts
+        else:
+            # the trace adapter's renderings only record, so a traced ring
+            # opens windows as a trace-off one does, and no SAT step runs
+            # inside them
+            assert windows > 0
+            assert counts["_sat_step"] <= counts["_tick_body"], counts
+
+    @pytest.mark.parametrize("record_only", [False, True],
+                             ids=["plain", "record-only"])
+    def test_mid_run_sat_subscription_switches_the_gate(self, record_only):
+        # the kernel re-derives its gate on every subscription: a probe
+        # subscribed mid-drain stops new windows from opening unless it
+        # only records, and either way the run stays equal to scalar
+        scenario = next(s for s in GRID if s.seed == 23)
+        runs = [build_scenario(replace(scenario, kernel=kernel))
+                for kernel in ("scalar", "batched")]
+        kern = runs[1].network.tick_driver.__self__
+        releases = []
+        for result in runs:
+            result.engine.run(until=300.0)
+            seen = []
+
+            def probe(ev, seen=seen):
+                seen.append(ev.t)
+
+            probe.record_only = record_only
+            result.network.events.subscribe(SatRelease, probe)
+            releases.append(seen)
+        windows = kern.sat_windows
+        for result in runs:
+            result.engine.run(until=scenario.horizon)
+        # 8 windows by t=300; the rest of the drain opens 2 more unless
+        # a probe that does more than record shuts the gate
+        assert windows > 0
+        assert (kern.sat_windows > windows) == record_only, (
+            windows, kern.sat_windows)
+        assert releases[0] and releases[1] == releases[0]
+        diff = _compare_runs(f"SAT probe from t=300, record_only="
+                             f"{record_only}", *runs)
+        assert diff.ok, diff.describe()
 
 
 class TestFabricKernelParity:

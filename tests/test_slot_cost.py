@@ -5,7 +5,8 @@ kick; on a light-load ring that is most slots.  These tests count the
 Python-level calls into ``repro`` such slots make (``sys.setprofile``), so
 a frame added to the per-slot path fails here whatever the host's speed.
 The slot-0 prefill burst of the Sec. 2.6 worst case is counted per packet
-the same way, and so is the set-up of the shipped building fabric.
+the same way, the batched kernel's saturated windows that drain it per
+slot, and the set-up of the shipped building fabric.
 
 Comprehension frames are not counted: Python 3.12 inlines them, so
 counting them would tie the bounds to the interpreter.
@@ -117,6 +118,32 @@ def test_prefill_burst_per_packet(kernel):
     assert packets == 8 * 2 * 500   # a Premium and a best-effort flow each
     per_packet = sum(calls.values()) / packets
     assert per_packet <= 1.1, calls.most_common(8)
+
+
+@pytest.mark.parametrize("traced,bound", [(True, 16.2), (False, 9.6)],
+                         ids=["traced", "trace-off"])
+def test_saturated_window_per_slot(traced, bound):
+    # perfbench's ``saturated_bound`` ring, cut to 4,000 slots, counted
+    # past its slot-0 prefill: 21 tick bodies, each followed by a window
+    # (3,979 slots in all).  A window slot costs its sends' ``_pop_class``
+    # calls and, traced, three calls per recorded SAT event.  Measured
+    # 14.72 calls per slot traced and 8.75 trace-off (58,897 and 34,993)
+    scn = Scenario(n=32, l=2, k=1, horizon=4000.0, kernel="batched",
+                   traffic=TrafficMix(kind="prefill", burst=1500,
+                                      service=ServiceClass.PREMIUM,
+                                      neighbours_only=True))
+    built = build_scenario(scn)
+    if not traced:
+        built.trace.enable_only(())
+    built.engine.run(until=0.5)
+    calls = calls_into_repro(lambda: built.engine.run(until=scn.horizon))
+    bodies = calls[WRTRingNetwork._tick_body.__code__]
+    slots = bodies + built.network.tick_driver.__self__.sat_slots
+    assert slots == 4000
+    # no hop inside a window runs the real SAT step
+    assert calls[WRTRingNetwork._sat_step.__code__] == bodies == 21
+    per_slot = sum(calls.values()) / slots
+    assert per_slot <= bound, calls.most_common(12)
 
 
 def test_building_fabric_setup():
